@@ -1,10 +1,14 @@
 """Coefficient rings: Q, Z, and imaginary quadratic orders.
 
 Quadratic orders are Z[w] with w = sqrt(d) for squarefree d < 0, or
-w = (1+sqrt(d))/2 for the maximal order when d = 1 mod 4.  Fractional ideals
-are full rank-2 lattices closed under multiplication by w, stored as a
-rational scale times an integer basis [a, b+c*w] in upper-triangular normal
-form: a, c > 0, c | a, c | b, 0 <= b < a.  All arithmetic is exact.
+w = (1+sqrt(d))/2 for the maximal order when d = 1 mod 4.  Every fractional
+ideal, of any of the three domains, is one record: a positive rational scale
+times an integer basis [a, b+c*w].  Over a quadratic order the basis spans a
+full rank-2 lattice closed under multiplication by w, in upper-triangular
+normal form: a, c > 0, c | a, c | b, 0 <= b < a.  Over Z and Q the ideal has
+rank one: a = c = 1 and b = 0, and the ideal is the principal ideal (scale),
+with scale 1 over Q.  Ideal operations are therefore scale arithmetic over Q
+and Z and lattice arithmetic over quadratic orders.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ class CoefficientDomain:
             return QuadElement(self, Fraction(value), Fraction(0))
         if isinstance(value, QuadElement):
             raise MismatchError("quadratic element in a rational domain")
-        return Fraction(value)
+        return value if isinstance(value, Fraction) else Fraction(value)
 
     def is_integral_element(self, value) -> bool:
         """Membership of a quotient-field element in the ring itself."""
@@ -249,112 +253,99 @@ def _omega_closed(domain: CoefficientDomain, a: int, b: int, c: int) -> bool:
             and _in_triple(a, b, c, Fraction(-c * n), Fraction(b + c * t)))
 
 
+def _dual_basis(b1, b2):
+    # rows of the inverse-transpose of the basis matrix [b1; b2]
+    (p, q), (r, s) = (b1, b2)
+    det = p * s - q * r
+    if not det:
+        raise ValueError("degenerate lattice")
+    return (s / det, -r / det), (-q / det, p / det)
+
+
 @dataclass(frozen=True)
 class CoeffIdeal:
-    """A nonzero fractional ideal of a coefficient domain.
+    """A nonzero fractional ideal of a coefficient domain: scale * [a, b+c*w].
 
-    Over Q the only one is the unit ideal; over Z it is a positive rational
-    generator; over a quadratic order it is scale * [a, b+c*w].
+    Over Q and Z the ideal has rank one, a = c = 1 and b = 0, and it is the
+    principal ideal (scale); over Q the only one is the unit ideal, scale 1.
+    Over a quadratic order [a, b+c*w] is the lattice in normal form.
     """
 
     domain: CoefficientDomain
-    gen: Fraction | None = None
-    scale: Fraction | None = None
-    a: int | None = None
-    b: int | None = None
-    c: int | None = None
-
-    def basis_vectors(self) -> list[tuple[Fraction, Fraction]]:
-        if self.domain.kind == "quadratic":
-            return [(self.scale * self.a, Fraction(0)),
-                    (self.scale * self.b, self.scale * self.c)]
-        return [(Fraction(1) if self.gen is None else Fraction(self.gen), Fraction(0))]
+    scale: Fraction
+    a: int = 1
+    b: int = 0
+    c: int = 1
 
     def basis_elements(self) -> list:
-        if self.domain.kind == "quadratic":
-            return [self.domain.element(x, y) for x, y in self.basis_vectors()]
-        return [Fraction(1) if self.gen is None else Fraction(self.gen)]
+        if self.domain.kind != "quadratic":
+            return [self.scale]
+        s = self.scale
+        return [QuadElement(self.domain, s * self.a, Fraction(0)),
+                QuadElement(self.domain, s * self.b, s * self.c)]
 
     def contains(self, value) -> bool:
         v = self.domain.coerce(value)
-        if self.domain.kind == "Q":
-            return True
-        if self.domain.kind == "Z":
-            return (v / self.gen).denominator == 1
+        if self.domain.kind != "quadratic":
+            return self.domain.is_integral_element(v / self.scale)
         if not v:
             return True
         return _in_triple(self.a, self.b, self.c, v.x / self.scale, v.y / self.scale)
 
     def norm(self) -> Fraction:
-        if self.domain.kind == "Q":
-            return Fraction(1)
-        if self.domain.kind == "Z":
-            return Fraction(self.gen)
+        if self.domain.kind != "quadratic":
+            return self.scale
         return self.scale * self.scale * self.a * self.c
 
     def is_unit(self) -> bool:
         return self == unit_ideal(self.domain)
 
     def text(self) -> str:
-        if self.domain.kind == "Q":
-            return "(1)"
-        if self.domain.kind == "Z":
-            return f"({self.gen})"
+        if self.domain.kind != "quadratic":
+            return f"({self.scale})"
         prefix = "" if self.scale == 1 else f"{self.scale}*"
         w = "w" if self.c == 1 else f"{self.c}*w"
         return f"{prefix}[{self.a}, {self.b}+{w}]"
 
     def to_json(self) -> dict:
-        if self.domain.kind == "quadratic":
-            return {"scale": str(self.scale), "a": self.a, "b": self.b, "c": self.c}
-        scale = "1" if self.domain.kind == "Q" else str(self.gen)
-        return {"scale": scale, "a": 1, "b": 0, "c": 1}
+        return {"scale": str(self.scale), "a": self.a, "b": self.b, "c": self.c}
 
 
 def unit_ideal(domain: CoefficientDomain) -> CoeffIdeal:
+    return CoeffIdeal(domain, Fraction(1))
+
+
+def _rational(domain: CoefficientDomain, values: list[Fraction]) -> CoeffIdeal:
+    """The rank-one ideal generated by nonzero rationals: (1) over Q, their
+    positive gcd over Z."""
     if domain.kind == "Q":
-        return CoeffIdeal(domain)
-    if domain.kind == "Z":
-        return CoeffIdeal(domain, gen=Fraction(1))
-    return CoeffIdeal(domain, scale=Fraction(1), a=1, b=0, c=1)
-
-
-def _from_lattice(domain: CoefficientDomain, vectors) -> CoeffIdeal:
-    scale, a, b, c = _hnf_rational(vectors)
-    if not _omega_closed(domain, a, b, c):
-        raise ValueError("module is not closed under multiplication by w")
-    return CoeffIdeal(domain, scale=scale, a=a, b=b, c=c)
-
-
-def _gcd_fractions(values: list[Fraction]) -> Fraction:
+        return unit_ideal(domain)
     den = 1
     for v in values:
         den = lcm(den, v.denominator)
     num = 0
     for v in values:
-        num = gcd(num, int(v * den))
-    return Fraction(num, den)
+        num = gcd(num, v.numerator * (den // v.denominator))
+    return CoeffIdeal(domain, Fraction(num, den))
+
+
+def _lattice(domain: CoefficientDomain, elements) -> CoeffIdeal:
+    """The ideal of a quadratic order spanned over Z by the given elements."""
+    scale, a, b, c = _hnf_rational([(e.x, e.y) for e in elements])
+    if not _omega_closed(domain, a, b, c):
+        raise ValueError("module is not closed under multiplication by w")
+    return CoeffIdeal(domain, scale, a, b, c)
 
 
 def ideal_from_generators(domain: CoefficientDomain, gens) -> CoeffIdeal:
     """The fractional ideal generated by finitely many elements, not all zero."""
-    if domain.kind == "quadratic":
-        elems = [domain.coerce(g) for g in gens]
-        elems = [e for e in elems if e]
-        if not elems:
-            raise ValueError("at least one nonzero generator is required")
-        vectors = []
-        for e in elems:
-            we = e * domain.element(0, 1)
-            vectors.append((e.x, e.y))
-            vectors.append((we.x, we.y))
-        return _from_lattice(domain, vectors)
-    values = [Fraction(g) for g in gens if g]
-    if not values:
+    elems = [e for e in (domain.coerce(g) for g in gens) if e]
+    if not elems:
         raise ValueError("at least one nonzero generator is required")
-    if domain.kind == "Q":
-        return unit_ideal(domain)
-    return CoeffIdeal(domain, gen=_gcd_fractions(values))
+    if domain.kind != "quadratic":
+        return _rational(domain, elems)
+    w = domain.element(0, 1)
+    return _lattice(domain, [x for e in elems for x in (e, e * w)])
 
 
 def _require_same_domain(i: CoeffIdeal, j: CoeffIdeal) -> CoefficientDomain:
@@ -365,86 +356,38 @@ def _require_same_domain(i: CoeffIdeal, j: CoeffIdeal) -> CoefficientDomain:
 
 def mul(i: CoeffIdeal, j: CoeffIdeal) -> CoeffIdeal:
     domain = _require_same_domain(i, j)
-    if domain.kind == "Q":
-        return i
-    if domain.kind == "Z":
-        return CoeffIdeal(domain, gen=i.gen * j.gen)
-    vectors = []
-    for e in i.basis_elements():
-        for f in j.basis_elements():
-            p = e * f
-            vectors.append((p.x, p.y))
-    return _from_lattice(domain, vectors)
+    if domain.kind != "quadratic":
+        return CoeffIdeal(domain, i.scale * j.scale)
+    return _lattice(domain, [e * f for e in i.basis_elements()
+                             for f in j.basis_elements()])
 
 
 def add(i: CoeffIdeal, j: CoeffIdeal) -> CoeffIdeal:
     domain = _require_same_domain(i, j)
-    if domain.kind == "Q":
-        return i
-    if domain.kind == "Z":
-        return CoeffIdeal(domain, gen=_gcd_fractions([i.gen, j.gen]))
-    return _from_lattice(domain, i.basis_vectors() + j.basis_vectors())
-
-
-def power(i: CoeffIdeal, k: int) -> CoeffIdeal:
-    if k < 0:
-        raise ValueError("negative powers go through inverse()")
-    result = unit_ideal(i.domain)
-    for _ in range(k):
-        result = mul(result, i)
-    return result
-
-
-# 2x2 rational matrices as ((m00, m01), (m10, m11)) acting on column vectors.
-
-def _mat_inv(m):
-    (p, q), (r, s) = m
-    det = p * s - q * r
-    if not det:
-        raise ValueError("singular matrix")
-    return ((s / det, -q / det), (-r / det, p / det))
-
-
-def _mat_apply(m, v):
-    (p, q), (r, s) = m
-    return (p * v[0] + q * v[1], r * v[0] + s * v[1])
-
-
-def _dual_basis(b1, b2):
-    # rows of the inverse-transpose of the basis matrix [b1; b2]
-    (p, q), (r, s) = (b1, b2)
-    det = p * s - q * r
-    if not det:
-        raise ValueError("degenerate lattice")
-    return (s / det, -r / det), (-q / det, p / det)
-
-
-def _lattice_intersection(basis1, basis2):
-    d1 = _dual_basis(*basis1)
-    d2 = _dual_basis(*basis2)
-    scale, a, b, c = _hnf_rational([*d1, *d2])
-    sum_basis = ((scale * a, Fraction(0)), (scale * b, scale * c))
-    return _dual_basis(*sum_basis)
+    if domain.kind != "quadratic":
+        return _rational(domain, [i.scale, j.scale])
+    return _lattice(domain, i.basis_elements() + j.basis_elements())
 
 
 def colon(i: CoeffIdeal, j: CoeffIdeal) -> CoeffIdeal:
-    """(i : j) = every field element x with x*j inside i."""
+    """(i : j) = every field element x with x*j inside i.
+
+    Over a quadratic order this is the intersection of beta^-1 * i over the
+    basis elements beta of j, taken as the dual of the sum of the duals.
+    """
     domain = _require_same_domain(i, j)
-    if domain.kind == "Q":
-        return i
-    if domain.kind == "Z":
-        return CoeffIdeal(domain, gen=i.gen / j.gen)
-    target = [tuple(map(Fraction, v)) for v in i.basis_vectors()]
-    lattices = []
+    if domain.kind != "quadratic":
+        return CoeffIdeal(domain, i.scale / j.scale)
+    basis = i.basis_elements()
+    duals = []
     for beta in j.basis_elements():
-        wbeta = beta * domain.element(0, 1)
-        m = ((beta.x, wbeta.x), (beta.y, wbeta.y))
-        minv = _mat_inv(m)
-        lattices.append(tuple(_mat_apply(minv, v) for v in target))
-    basis = lattices[0]
-    for other in lattices[1:]:
-        basis = _lattice_intersection(basis, other)
-    return _from_lattice(domain, basis)
+        conj, n = beta.conjugate(), beta.norm()
+        beta_inv = QuadElement(domain, conj.x / n, conj.y / n)
+        p, q = (e * beta_inv for e in basis)
+        duals.extend(_dual_basis((p.x, p.y), (q.x, q.y)))
+    scale, a, b, c = _hnf_rational(duals)
+    meet = _dual_basis((scale * a, Fraction(0)), (scale * b, scale * c))
+    return _lattice(domain, [QuadElement(domain, x, y) for x, y in meet])
 
 
 def inverse(i: CoeffIdeal) -> CoeffIdeal:
@@ -470,11 +413,9 @@ def is_principal(i: CoeffIdeal):
     principal exactly when it contains an element whose norm equals the ideal
     norm.
     """
-    if i.domain.kind == "Q":
-        return Fraction(1)
-    if i.domain.kind == "Z":
-        return Fraction(i.gen)
     domain = i.domain
+    if domain.kind != "quadratic":
+        return i.scale
     t, n = domain.omega_trace, domain.omega_norm
     a, b, c = i.a, i.b, i.c
     target = a * c
@@ -594,8 +535,7 @@ def form_to_ideal(domain: CoefficientDomain, form: QuadForm) -> CoeffIdeal:
         raise MismatchError("form discriminant does not match the order")
     t = domain.omega_trace
     bt = -(form.b + t) // 2
-    return _from_lattice(domain, [(Fraction(form.a), Fraction(0)),
-                                  (Fraction(bt % form.a), Fraction(1))])
+    return _lattice(domain, [domain.element(form.a), domain.element(bt % form.a, 1)])
 
 
 def ideal_to_form(i: CoeffIdeal) -> QuadForm:
@@ -618,14 +558,6 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     domain = domain_for_discriminant(f.discriminant)
     product = mul(form_to_ideal(domain, f), form_to_ideal(domain, g))
     return ideal_to_form(product)
-
-
-def form_power(f: QuadForm, k: int) -> QuadForm:
-    result = identity_form(f.discriminant)
-    base = f if k >= 0 else f.inverse()
-    for _ in range(abs(k)):
-        result = compose(result, base)
-    return result
 
 
 @dataclass(frozen=True)

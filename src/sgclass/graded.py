@@ -466,14 +466,6 @@ def lift_coefficient_class(ideal: CoeffIdeal, monoid: NumericalSemigroup
                             mid.class_reduce(mid.unit_ideal(monoid)))
 
 
-def project_to_monoid_class(cls: HomogeneousClass) -> MonoidClass:
-    return cls.monoid_class
-
-
-def section_from_monoid_class(cls: MonoidClass) -> HomogeneousClass:
-    return HomogeneousClass(None, cls)
-
-
 def decompose_class(pair: IdealPair) -> HomogeneousClass:
     """Split the class of a t-invertible pair into its two components."""
     if not pair_is_t_invertible(pair):

@@ -236,6 +236,19 @@ class MonoidDescriptor:
         return f"p^inf:{self.prime}"
 
 
+def parse_int_list(text: str) -> list[int]:
+    """Parse a comma-separated list of at least one integer; blank parts are
+    skipped, so ``2,,3`` reads as ``2,3``."""
+    message = f"expected a comma-separated integer list, got {text!r}"
+    try:
+        values = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ParseError(message) from exc
+    if not values:
+        raise ParseError(message)
+    return values
+
+
 def parse_monoid(text: str) -> MonoidDescriptor:
     """Parse ``2,3`` as a numerical semigroup or ``p^inf:2`` as a p-power cone."""
     text = text.strip()
@@ -247,12 +260,7 @@ def parse_monoid(text: str) -> MonoidDescriptor:
         if not _is_prime(p):
             raise ParseError(f"{p} is not prime")
         return MonoidDescriptor.p_power_cone(p)
-    try:
-        gens = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ParseError(f"bad generator list {text!r}") from exc
-    if not gens:
-        raise ParseError(f"bad generator list {text!r}")
+    gens = parse_int_list(text)
     try:
         return MonoidDescriptor.numerical(from_generators(gens))
     except ValueError as exc:

@@ -379,16 +379,14 @@ def suite_decomposition(seed: int = 0, trials: int = 100) -> dict:
         trivial_lift = lifted.coeff_form is None
         principal = dom.is_principal(j) is not None
         ok = trivial_lift == principal
-        ok = ok and mid.class_is_trivial(grd.project_to_monoid_class(lifted))
+        ok = ok and mid.class_is_trivial(lifted.monoid_class)
         pair = grd.IdealPair(j, mid.unit_ideal(sgp))
         ok = ok and grd.decompose_class(pair) == lifted
-        m = mid.class_reduce(_random_ideal(rng, sgp))
-        ok = ok and grd.project_to_monoid_class(grd.section_from_monoid_class(m)) == m
         if not ok:
             bad += 1
             _check(checks, f"trial {t} decomposition laws", False,
                    f"{domain.text()} ideal {j.text()}")
-    _check(checks, "lift triviality = principality; section/projection identity",
+    _check(checks, "lift triviality = principality; lift and decomposition agree",
            bad == 0, f"{trials - bad}/{trials} trials clean")
     # the order-2 witness
     d5 = dom.CoefficientDomain.z_sqrt(-5)
@@ -535,5 +533,5 @@ def run_suites(seed: int = 0, trials: int | None = None,
     for name in names:
         child_seed = (seed ^ zlib.crc32(name.encode())) & 0x7FFFFFFF
         fn = SUITES[name]
-        reports.append(fn(child_seed, trials) if trials else fn(child_seed))
+        reports.append(fn(child_seed) if trials is None else fn(child_seed, trials))
     return reports

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from sgclass import cli, suites
 
 REPORT_KEYS = {"schema", "command", "inputs", "results", "checks", "seed",
@@ -72,6 +74,41 @@ def test_capability_error_exits_two():
                             "--gens", "2,3", "--op", "v"])
     assert code == 2
     assert "p-power cone" in report["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sgp", "search", "--sgp", "3,5", "--bound", "-1"],
+    ["demo", "ex218", "--bound", "-2"],
+    ["demo", "lemma23", "--trials", "0"],
+    ["demo", "lemma23", "--trials", "-3"],
+    ["suite", "--only", "closure", "--trials", "0"],
+])
+def test_out_of_range_values_exit_two(argv):
+    code, report = cli.run(argv)
+    assert code == 2
+    assert "error" in report
+
+
+def test_ex217_reports_a_failed_condition_on_a_nonmaximal_order():
+    code, report = cli.run(["demo", "ex217", "--domain", "Z[sqrt(-3)]"])
+    assert code == 1
+    assert "error" not in report
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("coefficient domain integrally closed", "fail"),
+        ("monoid integrally closed", "pass"),
+        ("monoid class group trivial", "pass"),
+    ]
+
+
+def test_gens_and_sgp_share_one_list_parser():
+    _, plain = cli.run(["sgp", "ideal", "--sgp", "2,3", "--gens", "2,3"])
+    _, blank = cli.run(["sgp", "ideal", "--sgp", "2,,3", "--gens", "2,,3"])
+    assert blank["results"] == plain["results"]
+    for argv in (["sgp", "ideal", "--sgp", "2,x", "--gens", "2,3"],
+                 ["sgp", "ideal", "--sgp", "2,3", "--gens", "2,x"]):
+        code, report = cli.run(argv)
+        assert code == 2
+        assert "comma-separated integer list" in report["error"]
 
 
 def test_usage_error_exits_two(capsys):

@@ -1,5 +1,6 @@
 """Quadratic orders: lattice ideals, form reduction, and class groups."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -117,8 +118,8 @@ def test_prime_over_two_in_the_nonmaximal_order():
     assert square == dom.mul(dom.ideal_from_generators(D3, [2]), k)
     assert square != dom.ideal_from_generators(D3, [2])
     assert dom.mul(k, dom.inverse(k)) == k
-    assert dom.inverse(k) == dom.CoeffIdeal(domain=D3, gen=None,
-                                            scale=Fraction(1, 2), a=2, b=1, c=1)
+    assert dom.inverse(k) == dom.CoeffIdeal(domain=D3, scale=Fraction(1, 2),
+                                            a=2, b=1, c=1)
     assert dom.is_divisorial(k)
     assert not dom.is_t_invertible(k)
     assert dom.is_principal(k) is None
@@ -159,12 +160,44 @@ def test_fractional_scale_keeps_integer_content_in_the_triple():
 def test_colon_and_v_on_rational_ideals():
     i = dom.ideal_from_generators(Z, [4])
     j = dom.ideal_from_generators(Z, [6])
-    assert dom.colon(i, j).gen == Fraction(2, 3)
-    assert dom.inverse(i).gen == Fraction(1, 4)
+    assert dom.colon(i, j).scale == Fraction(2, 3)
+    assert dom.inverse(i).scale == Fraction(1, 4)
     assert dom.v_closure(i) == i
-    assert dom.mul(i, j).gen == 24
-    assert dom.add(i, j).gen == 2
-    assert dom.power(j, 2).gen == 36
+    assert dom.mul(i, j).scale == 24
+    assert dom.add(i, j).scale == 2
+    assert dom.mul(j, j).scale == 36
+
+
+def test_rank_one_ideals_are_a_scale():
+    two = dom.ideal_from_generators(Z, [4, 6])
+    assert two == dom.CoeffIdeal(Z, Fraction(2))
+    assert two.to_json() == {"scale": "2", "a": 1, "b": 0, "c": 1}
+    whole = dom.ideal_from_generators(Q, [Fraction(3, 5)])
+    assert whole.text() == "(1)"
+    assert whole.contains(Fraction(1, 7))
+
+
+@pytest.mark.parametrize("domain", [D3, O23], ids=["Z[sqrt(-3)]", "O[sqrt(-23)]"])
+def test_colon_matches_its_definition(domain):
+    rng = random.Random(5)
+
+    def small_ideal():
+        gens = [domain.element(rng.randint(-3, 3), rng.randint(-3, 3))
+                for _ in range(rng.randint(1, 2))]
+        gens.append(rng.randint(1, 4))
+        return dom.ideal_from_generators(domain, gens)
+
+    seen = set()
+    for _ in range(40):
+        i, j = small_ideal(), small_ideal()
+        quotient = dom.colon(i, j)
+        for _ in range(50):
+            x = domain.element(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))),
+                               Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))))
+            expected = all(i.contains(x * b) for b in j.basis_elements())
+            assert quotient.contains(x) == expected
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_form_reduction_properties():
@@ -188,7 +221,7 @@ def test_reduced_forms_frozen_tables():
 def test_composition_in_the_cubic_class_group():
     f = dom.QuadForm(2, 1, 3)
     assert dom.compose(f, f) == dom.QuadForm(2, -1, 3)
-    assert dom.form_power(f, 3) == dom.identity_form(-23)
+    assert dom.compose(dom.compose(f, f), f) == dom.identity_form(-23)
     assert dom.compose(f, f.inverse()) == dom.identity_form(-23)
 
 
