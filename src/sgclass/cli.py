@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -27,6 +28,24 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     return parse
+
+
+# Options whose value is an integer list that may start with a negative number.
+_LIST_OPTIONS = ("--sgp", "--gens", "--gens2")
+
+
+def _attach_negative_lists(argv) -> list[str]:
+    """Glue a value such as ``-5,0`` to its list option as ``--gens=-5,0``.
+
+    argparse would otherwise read the value as an unknown option.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _LIST_OPTIONS and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,7 +329,7 @@ def run(argv) -> tuple[int, dict]:
     report = {"schema": 1, "command": " ".join(argv)}
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_lists(argv))
     except SystemExit as exc:
         if not exc.code:
             return 0, report

@@ -297,9 +297,6 @@ class CoeffIdeal:
             return self.scale
         return self.scale * self.scale * self.a * self.c
 
-    def is_unit(self) -> bool:
-        return self == unit_ideal(self.domain)
-
     def text(self) -> str:
         if self.domain.kind != "quadratic":
             return f"({self.scale})"
@@ -551,13 +548,34 @@ def ideal_to_form(i: CoeffIdeal) -> QuadForm:
     return QuadForm(fa, fb, fc).reduced()
 
 
+def _compose(f: QuadForm, g: QuadForm) -> QuadForm:
+    """The reduced composite of two forms of one discriminant, by integer
+    Gauss composition (Cohen, GTM 138, Alg. 5.4.7)."""
+    if f.a > g.a:
+        f, g = g, f
+    s = (f.b + g.b) // 2
+    n = g.b - s
+    d, y1, _ = _egcd(g.a, f.a)
+    d1, x2, y2 = _egcd(s, d)
+    y2 = -y2
+    v1, v2 = f.a // d1, g.a // d1
+    r = (y1 * y2 * n - x2 * g.c) % v1
+    b = g.b + 2 * v2 * r
+    c = (g.c * d1 + r * (g.b + v2 * r)) // v1
+    return QuadForm(v1 * v2, b, c).reduced()
+
+
 def compose(f: QuadForm, g: QuadForm) -> QuadForm:
-    """Gaussian composition, computed through the ideal product."""
+    """The reduced Gauss composite of two forms of one fundamental
+    discriminant (Cohen, GTM 138, Alg. 5.4.7).
+
+    Raises MismatchError for forms of different discriminants and
+    CapabilityError when the discriminant is not fundamental.
+    """
     if f.discriminant != g.discriminant:
         raise MismatchError("forms have different discriminants")
-    domain = domain_for_discriminant(f.discriminant)
-    product = mul(form_to_ideal(domain, f), form_to_ideal(domain, g))
-    return ideal_to_form(product)
+    domain_for_discriminant(f.discriminant)
+    return _compose(f, g)
 
 
 @dataclass(frozen=True)
@@ -615,7 +633,7 @@ def class_group(domain: CoefficientDomain) -> ClassGroup:
     forms = tuple(reduced_forms(domain.discriminant))
     index = {f: i for i, f in enumerate(forms)}
     table = tuple(
-        tuple(index[compose(f, g)] for g in forms) for f in forms
+        tuple(index[_compose(f, g)] for g in forms) for f in forms
     )
     return ClassGroup(domain, forms, table)
 

@@ -490,12 +490,19 @@ def suite_domains(seed: int = 0, trials: int = 120) -> dict:
                    False, f"{i.text()} / {j.text()}")
     _check(checks, "norms multiply, inverses invert, membership matches basis",
            bad == 0, f"{trials - bad}/{trials} trials clean")
-    bad = 0
+    bad = pairs = disagree = 0
     for disc in _DISC_POOL:
         domain = dom.domain_for_discriminant(disc)
-        for f in dom.reduced_forms(disc):
-            if dom.ideal_to_form(dom.form_to_ideal(domain, f)) != f:
+        forms = dom.reduced_forms(disc)
+        ideals = [dom.form_to_ideal(domain, f) for f in forms]
+        for f, i in zip(forms, ideals):
+            if dom.ideal_to_form(i) != f:
                 bad += 1
+            # the lattice product is the judge of integer composition
+            for g, j in zip(forms, ideals):
+                pairs += 1
+                if dom.compose(f, g) != dom.ideal_to_form(dom.mul(i, j)):
+                    disagree += 1
         group = dom.class_group(domain)
         e = group.identity_index
         for a in range(group.order):
@@ -504,6 +511,8 @@ def suite_domains(seed: int = 0, trials: int = 120) -> dict:
                 bad += 1
     _check(checks, "form/ideal round trip and group table laws", bad == 0,
            f"discriminants {list(_DISC_POOL)}")
+    _check(checks, "composition agrees with the ideal product", disagree == 0,
+           f"{pairs - disagree}/{pairs} form pairs agree")
     structures = {disc: dom.class_group(dom.domain_for_discriminant(disc)).structure()
                   for disc in _DISC_POOL}
     expected = {-4: "trivial", -20: "Z/2Z", -23: "Z/3Z", -24: "Z/2Z",
@@ -526,6 +535,8 @@ SUITES = {
 
 def run_suites(seed: int = 0, trials: int | None = None,
                only: str | None = None) -> list[dict]:
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     names = [only] if only else list(SUITES)
     if only and only not in SUITES:
         raise ValueError(f"unknown suite {only!r}; choose from {sorted(SUITES)}")

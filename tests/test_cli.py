@@ -111,6 +111,22 @@ def test_gens_and_sgp_share_one_list_parser():
         assert "comma-separated integer list" in report["error"]
 
 
+@pytest.mark.parametrize("spaced, glued", [
+    (["--gens", "-5,0"], ["--gens=-5,0"]),
+    (["--gens", "0", "--gens2", "-5,0", "--op", "sum"],
+     ["--gens", "0", "--gens2=-5,0", "--op", "sum"]),
+])
+def test_list_options_accept_a_leading_negative_number(spaced, glued):
+    base = ["sgp", "ideal", "--sgp", "2,3"]
+    code, report = cli.run(base + spaced)
+    code_glued, report_glued = cli.run(base + glued)
+    assert code == code_glued == 0
+
+    def body(r):
+        return {k: v for k, v in r.items() if k not in ("command", "elapsed")}
+    assert body(report) == body(report_glued)
+
+
 def test_usage_error_exits_two(capsys):
     code, _ = cli.run(["sgp", "ideal", "--sgp", "2,3"])
     assert code == 2

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from sgclass import domains as dom
-from sgclass.errors import CapabilityError, ParseError
+from sgclass.errors import CapabilityError, MismatchError, ParseError
 
 Q = dom.CoefficientDomain.rationals()
 Z = dom.CoefficientDomain.integers()
@@ -22,7 +24,21 @@ DISC_STRUCTURES = {
     -23: "Z/3Z",
     -24: "Z/2Z",
     -84: "abelian of order 4 with exponent 2",
+    -831: "Z/28Z",
+    -3995: "abelian of order 28 with exponent 14",
 }
+
+
+def fundamental_discriminants(low, high):
+    """Every fundamental discriminant D with low <= D <= high, descending."""
+    discs = []
+    for disc in range(high, low - 1, -1):
+        try:
+            dom.domain_for_discriminant(disc)
+        except ValueError:  # CapabilityError is a ValueError too
+            continue
+        discs.append(disc)
+    return discs
 
 
 def test_domain_texts_and_discriminants():
@@ -242,14 +258,53 @@ def test_form_ideal_round_trip():
 
 
 def test_composition_matches_ideal_multiplication():
-    domain = dom.domain_for_discriminant(-84)
-    forms = dom.reduced_forms(-84)
-    for f in forms:
-        for g in forms:
-            via_ideals = dom.ideal_to_form(
-                dom.mul(dom.form_to_ideal(domain, f),
-                        dom.form_to_ideal(domain, g))).reduced()
-            assert dom.compose(f, g) == via_ideals
+    for disc in fundamental_discriminants(-500, -3) + [-831, -3995]:
+        domain = dom.domain_for_discriminant(disc)
+        forms = dom.reduced_forms(disc)
+        ideals = [dom.form_to_ideal(domain, f) for f in forms]
+        for f, i in zip(forms, ideals):
+            for g, j in zip(forms, ideals):
+                assert dom.compose(f, g) == dom.ideal_to_form(dom.mul(i, j))
+    with pytest.raises(MismatchError):
+        dom.compose(dom.QuadForm(1, 1, 6), dom.QuadForm(1, 0, 5))
+    with pytest.raises(CapabilityError):
+        dom.compose(dom.QuadForm(1, 0, 3), dom.QuadForm(1, 0, 3))
+
+
+def smallest_prime_factors(n):
+    """spf[m] = the smallest prime factor of m, for 2 <= m < n."""
+    spf = list(range(n))
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n, p):
+                spf[m] = min(spf[m], p)
+    return spf
+
+
+_SPF = smallest_prime_factors(750)
+
+
+def dirichlet_class_number(disc):
+    """h(D) = w / (2 (2 - chi(2))) * sum_{1 <= a <= |D|/2} chi(a) for a
+    fundamental D < 0, chi = (D/.) the Kronecker symbol (Cohen, GTM 138, 5.3).
+
+    chi is completely multiplicative, so sympy is asked only at primes.
+    """
+    half = -disc // 2
+    chi = [0, 1] + [0] * (half - 1)
+    for a in range(2, half + 1):
+        p = _SPF[a]
+        chi[a] = sympy.kronecker_symbol(disc, a) if p == a else chi[p] * chi[a // p]
+    w = {-3: 6, -4: 4}.get(disc, 2)
+    h, rem = divmod(w * sum(chi), 2 * (2 - sympy.kronecker_symbol(disc, 2)))
+    assert rem == 0
+    return h
+
+
+def test_class_numbers_match_the_dirichlet_formula():
+    for disc in fundamental_discriminants(-1499, -3):
+        group = dom.class_group(dom.domain_for_discriminant(disc))
+        assert group.order == dirichlet_class_number(disc), disc
 
 
 def test_class_group_structures():

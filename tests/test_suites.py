@@ -22,6 +22,20 @@ def test_unknown_suite_is_rejected():
         run_suites(only="antimatter")
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_zero_trials_are_refused(trials):
+    with pytest.raises(ValueError):
+        run_suites(0, trials, "closure")
+
+
+def test_domains_suite_judges_composition_by_the_ideal_product():
+    checks = run_suites(seed=0, trials=1, only="domains")[0]["checks"]
+    agree = [c for c in checks
+             if c["name"] == "composition agrees with the ideal product"]
+    assert [c["status"] for c in agree] == ["pass"]
+    assert agree[0]["detail"] == "34/34 form pairs agree"
+
+
 def test_reports_carry_checks_and_zero_failures():
     for report in run_suites(seed=1, trials=8):
         assert report["failures"] == 0
