@@ -303,13 +303,16 @@ def _suite_demo(name):
     return handler
 
 
+# Each demo with the overrides it reads; any other override is refused.
+DEMO_OVERRIDES = ("sgp", "domain", "bound", "trials")
 DEMOS = {
-    "ex111": _demo_ex111,
-    "ex112": _demo_ex112,
-    "ex216": _demo_ex216,
-    "ex217": _demo_ex217,
-    "ex218": _demo_ex218,
-    **{name: _suite_demo(name) for name in ("lemma23", "northcott", "decomposition")},
+    "ex111": (_demo_ex111, ()),
+    "ex112": (_demo_ex112, ()),
+    "ex216": (_demo_ex216, ()),
+    "ex217": (_demo_ex217, ("sgp", "domain", "bound")),
+    "ex218": (_demo_ex218, ("sgp", "bound")),
+    **{name: (_suite_demo(name), ("trials",))
+       for name in ("lemma23", "northcott", "decomposition")},
 }
 
 
@@ -347,7 +350,12 @@ def run(argv) -> tuple[int, dict]:
             results = handler(args, checks)
             report["inputs"] = {"sgp": args.sgp}
         elif args.command == "demo":
-            results = DEMOS[args.name](args, seed, checks)
+            handler, reads = DEMOS[args.name]
+            ignored = [f"--{key}" for key in DEMO_OVERRIDES
+                       if getattr(args, key) is not None and key not in reads]
+            if ignored:
+                raise ValueError(f"demo {args.name} does not take {', '.join(ignored)}")
+            results = handler(args, seed, checks)
             report["inputs"] = {"name": args.name, "sgp": args.sgp,
                                 "domain": args.domain, "bound": args.bound,
                                 "trials": args.trials}

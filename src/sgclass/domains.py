@@ -513,6 +513,8 @@ def domain_for_discriminant(disc: int) -> CoefficientDomain:
     if disc >= 0:
         raise ValueError("discriminant must be negative")
     if disc % 4 == 1:
+        if not _is_squarefree(disc):
+            raise CapabilityError(f"{disc} is not a fundamental discriminant")
         domain = CoefficientDomain.maximal_order(disc)
     elif disc % 4 == 0:
         d = disc // 4

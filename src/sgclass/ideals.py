@@ -5,6 +5,10 @@ that is bounded below and eventually contains every integer.  It is stored as
 its minimum, a bitmap window of members, and the stable bound past which every
 integer belongs.  The canonical stable bound is max(minimal generators) plus
 the conductor, which makes structural equality coincide with set equality.
+Operations are arithmetic on member bit sets (sum: OR of shifted semigroup
+windows, colon: AND of shifted windows) and one canonicalizer reads the minimal
+generators of a bit set B as B & ~OR(B << g) over the monoid's generators g.
+Definitions as in Rosales & Garcia-Sanchez, *Numerical Semigroups* (2009).
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import MismatchError
-from .semigroups import NumericalSemigroup
+from .errors import CapabilityError, MismatchError
+from .semigroups import MAX_WINDOW_BITS, NumericalSemigroup, _bit_positions
 
 
 @dataclass(frozen=True)
@@ -28,8 +32,7 @@ class FractionalIdeal:
     @property
     def window(self) -> tuple[int, ...]:
         """Members in [min, stable_bound), smallest first."""
-        return tuple(self.min + i for i in range(self.stable_bound - self.min)
-                     if (self.window_bits >> i) & 1)
+        return tuple(self.min + i for i in _bit_positions(self.window_bits))
 
     def contains(self, g: int) -> bool:
         if g >= self.stable_bound:
@@ -68,46 +71,32 @@ def ideal_from_generators(monoid: NumericalSemigroup, gens) -> FractionalIdeal:
     cleaned = sorted({int(g) for g in gens})
     if not cleaned:
         raise ValueError("a fractional ideal needs at least one generator")
-    return _canonical(monoid, cleaned)
-
-
-def _canonical(monoid: NumericalSemigroup, gens: list[int]) -> FractionalIdeal:
-    lo = gens[0]
-    hi = gens[-1] + monoid.conductor
-    maxgen = monoid.generators[-1]
-    size = hi - lo + maxgen + 1
-    gamma = monoid.member_bits(size)
+    lo, hi = cleaned[0], cleaned[-1] + monoid.conductor
+    if hi - lo > MAX_WINDOW_BITS:
+        raise CapabilityError(f"generators {lo}..{cleaned[-1]} need a window "
+                              f"of more than {MAX_WINDOW_BITS} bits")
+    gamma = monoid.member_bits(hi - lo)
     bits = 0
-    for f in gens:
+    for f in cleaned:
         bits |= gamma << (f - lo)
-    bits |= ((1 << (size - (hi - lo))) - 1) << (hi - lo)
-    bits &= (1 << size) - 1
-
-    minimal = []
-    for i in range(size):
-        if not (bits >> i) & 1:
-            continue
-        for g in monoid.generators:
-            j = i - g
-            if j >= 0 and (bits >> j) & 1:
-                break
-        else:
-            minimal.append(lo + i)
-    stable = minimal[-1] + monoid.conductor
-    wsize = stable - lo
-    return FractionalIdeal(monoid, lo, stable, bits & ((1 << wsize) - 1), tuple(minimal))
+    return _canonical(monoid, lo, hi, bits)
 
 
-def _canonical_from_membership(monoid: NumericalSemigroup, lo: int, hi: int, member) -> FractionalIdeal:
-    """Canonicalize the set {g : member(g)} | [hi, oo); member must be exact below hi."""
-    maxgen = monoid.generators[-1]
+def _members(y: FractionalIdeal) -> int:
+    """Bit i set iff y.min + i is a member; negative, its ones run to infinity."""
+    return y.window_bits | (-1 << (y.stable_bound - y.min))
 
-    def mem(g: int) -> bool:
-        return g >= hi or (g >= lo and member(g))
 
-    minimal = [w for w in range(lo, hi + maxgen + 1)
-               if mem(w) and not any(mem(w - g) for g in monoid.generators)]
-    return _canonical(monoid, minimal)
+def _canonical(monoid: NumericalSemigroup, lo: int, hi: int, bits: int) -> FractionalIdeal:
+    """The ideal {lo + i : bit i of bits} | [hi, oo); bits must be exact below hi."""
+    bits |= -1 << (hi - lo)
+    covered = 0
+    for g in monoid.generators:
+        covered |= bits << g
+    gens = [lo + i for i in _bit_positions(bits & ~covered)]
+    start, stable = gens[0], gens[-1] + monoid.conductor
+    window = (bits >> (start - lo)) & ((1 << (stable - start)) - 1)
+    return FractionalIdeal(monoid, start, stable, window, tuple(gens))
 
 
 @lru_cache(maxsize=128)
@@ -124,18 +113,18 @@ def _require_same_monoid(y: FractionalIdeal, z: FractionalIdeal) -> NumericalSem
 
 def minkowski_sum(y: FractionalIdeal, z: FractionalIdeal) -> FractionalIdeal:
     monoid = _require_same_monoid(y, z)
-    sums = sorted({a + b for a in y.min_generators for b in z.min_generators})
-    return _canonical(monoid, sums)
+    return ideal_from_generators(
+        monoid, [a + b for a in y.min_generators for b in z.min_generators])
 
 
 def colon(y: FractionalIdeal, z: FractionalIdeal) -> FractionalIdeal:
-    """(y : z) = every g with g + z inside y."""
+    """(y : z) = every g with g + z inside y, the meet of y - e over z's generators e."""
     monoid = _require_same_monoid(y, z)
-    lo = y.min - z.min
-    hi = y.stable_bound - z.min
-    gens = z.min_generators
-    return _canonical_from_membership(
-        monoid, lo, hi, lambda g: all(y.contains(g + e) for e in gens))
+    members = _members(y)
+    acc = members
+    for e in z.min_generators:
+        acc &= members >> (e - z.min)
+    return _canonical(monoid, y.min - z.min, y.stable_bound - z.min, acc)
 
 
 def inverse(y: FractionalIdeal) -> FractionalIdeal:
@@ -158,14 +147,15 @@ def t_closure(y: FractionalIdeal, definitional: bool = False) -> FractionalIdeal
     gens = y.min_generators
     if len(gens) > 16:
         raise ValueError("definitional t-closure is capped at 16 generators")
-    closures = []
-    for r in range(1, len(gens) + 1):
-        for subset in combinations(gens, r):
-            closures.append(v_closure(_canonical(y.monoid, list(subset))))
+    closures = [v_closure(ideal_from_generators(y.monoid, subset))
+                for r in range(1, len(gens) + 1)
+                for subset in combinations(gens, r)]
     lo = min(c.min for c in closures)
     hi = min(c.stable_bound for c in closures)
-    return _canonical_from_membership(
-        y.monoid, lo, hi, lambda g: any(c.contains(g) for c in closures))
+    bits = 0
+    for c in closures:
+        bits |= _members(c) << (c.min - lo)
+    return _canonical(y.monoid, lo, hi, bits)
 
 
 def is_divisorial(y: FractionalIdeal) -> bool:
@@ -244,13 +234,11 @@ def search_nonprincipal_t_invertible(monoid: NumericalSemigroup, bound: int,
         raise ValueError("bound must be non-negative")
     examined = 0
     for gens in canonical_generator_sets(monoid, bound):
-        ideal = _canonical(monoid, list(gens))
+        ideal = ideal_from_generators(monoid, gens)
         examined += 1
         if progress is not None and examined % 250 == 0:
             progress(examined, gens)
-        if is_principal(ideal):
-            continue
-        if is_t_invertible(ideal):
+        if not is_principal(ideal) and is_t_invertible(ideal):
             return ideal
     if progress is not None:
         progress(examined, None)

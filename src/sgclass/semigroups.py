@@ -2,9 +2,12 @@
 
 A numerical semigroup here is stored in normalized form: the gcd of the
 user's generators is divided out and remembered as ``scale``, so the stored
-monoid always generates the full group of integers.  The p-power cone is the
-union of the chains (1/p^n)Z+ inside the rationals; it supports membership
-and closure queries only.
+monoid always generates the full group of integers.  Its members in [0, size)
+are one int bit set, closed under each generator by doubling shifts; gaps,
+conductor, minimal generators and Apery sets are read off it, and a window
+wider than ``MAX_WINDOW_BITS`` is refused before it is built.  The p-power
+cone is the union of the chains (1/p^n)Z+ inside the rationals; it supports
+membership and closure queries only.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import CapabilityError, ParseError
+
+# Widest member window, in bits, that a semigroup or an ideal may need.
+MAX_WINDOW_BITS = 1 << 20
 
 
 def _is_prime(p: int) -> bool:
@@ -56,7 +62,7 @@ class NumericalSemigroup:
 
     def member_bits(self, size: int) -> int:
         """Bitmask of the members in [0, size); bit i is set iff i is a member."""
-        return _member_bits(self.generators, self.conductor, frozenset(self.gaps), size)
+        return _member_bits(self.generators, size)
 
     def apery(self, n: int) -> list[int]:
         """The smallest member in each residue class mod n, sorted ascending.
@@ -65,13 +71,8 @@ class NumericalSemigroup:
         """
         if n == 0 or not self.contains(n):
             raise ValueError(f"{n} is not a nonzero member of the semigroup")
-        smallest: dict[int, int] = {}
-        k = 0
-        while len(smallest) < n:
-            if self.contains(k):
-                smallest.setdefault(k % n, k)
-            k += 1
-        return sorted(smallest.values())
+        members = self.member_bits(self.conductor + n)
+        return _bit_positions(members & ~(members << n))
 
     def is_integrally_closed(self) -> bool:
         return not self.gaps
@@ -85,91 +86,72 @@ class NumericalSemigroup:
         return ",".join(str(g * self.scale) for g in self.generators)
 
 
+def _bit_positions(bits: int) -> list[int]:
+    """The indices of the set bits of a non-negative ``bits``, ascending; one
+    step per set bit, so meant for sparse sets such as minimal generators."""
+    positions = []
+    while bits:
+        low = bits & -bits
+        positions.append(low.bit_length() - 1)
+        bits ^= low
+    return positions
+
+
 @lru_cache(maxsize=512)
-def _member_bits(generators: tuple[int, ...], conductor: int, gap_set: frozenset[int], size: int) -> int:
-    bits = 0
-    for i in range(min(size, conductor)):
-        if i not in gap_set:
-            bits |= 1 << i
-    if size > conductor:
-        bits |= ((1 << (size - conductor)) - 1) << conductor
-    return bits
+def _member_bits(generators: tuple[int, ...], size: int) -> int:
+    return _reach(generators, size)[0]
 
 
-def _gaps_and_conductor(gens: list[int]) -> tuple[list[int], int]:
-    # Grow the DP window until a full run of `multiplicity` consecutive
-    # members appears; everything at or beyond that run is then a member.
-    m = gens[0]
-    bound = 2 * (gens[-1] + 1)
-    while True:
-        reach = bytearray(bound)
-        reach[0] = 1
-        for i in range(bound):
-            if reach[i]:
-                for g in gens:
-                    j = i + g
-                    if j < bound:
-                        reach[j] = 1
-        run = 0
-        conductor = -1
-        for i in range(bound):
-            run = run + 1 if reach[i] else 0
-            if run == m:
-                conductor = i - m + 1
-                break
-        if conductor >= 0:
-            gaps = [i for i in range(conductor) if not reach[i]]
-            return gaps, conductor
-        bound *= 2
-
-
-def _minimal_generators(gens: list[int], gap_set: set[int], conductor: int) -> list[int]:
-    def member(g: int) -> bool:
-        return g >= 0 and (g >= conductor or g not in gap_set)
-
-    m = gens[0]
-    apery = {}
-    k = 0
-    while len(apery) < m:
-        if member(k):
-            apery.setdefault(k % m, k)
-        k += 1
-    candidates = sorted({m} | {w for w in apery.values() if w})
+def _reach(gens, size: int) -> tuple[int, list[int]]:
+    """Members in [0, size) of the monoid generated by the ascending ``gens``,
+    as a bit set, and the gens (if below size) that are not sums of smaller ones."""
+    mask = (1 << size) - 1
+    reach = 1 & mask
     minimal = []
-    for w in candidates:
-        if any(member(s) and member(w - s) for s in range(m, w - m + 1)):
+    for g in gens:
+        if (reach >> g) & 1:
             continue
-        minimal.append(w)
-    return minimal
+        minimal.append(g)
+        # after shifts by g, 2g, ..., 2^k g the set is closed under adding
+        # every multiple of g up to (2^(k+1) - 1) g
+        step = g
+        while step < size:
+            reach |= (reach << step) & mask
+            step <<= 1
+    return reach, minimal
 
 
 def from_generators(raw) -> NumericalSemigroup:
     """Build the numerical semigroup generated by ``raw`` positive integers.
 
-    >>> from_generators([4, 6]).generators
-    (2, 3)
+    >>> s = from_generators([4, 6])
+    >>> s.generators, s.scale, s.gaps, s.conductor
+    ((2, 3), 2, (1,), 2)
     """
     gens = sorted({int(g) for g in raw})
     if not gens:
         raise ValueError("at least one generator is required")
     if gens[0] <= 0:
         raise ValueError("generators must be positive integers")
-    scale = 0
-    for g in gens:
-        scale = gcd(scale, g)
-    normalized = sorted({g // scale for g in gens})
-    gaps, conductor = _gaps_and_conductor(normalized)
-    gap_set = set(gaps)
-    minimal = _minimal_generators(normalized, gap_set, conductor)
-    frobenius = conductor - 1 if conductor > 0 else -1
-    return NumericalSemigroup(
-        generators=tuple(minimal),
-        scale=scale,
-        gaps=tuple(gaps),
-        frobenius=frobenius,
-        conductor=conductor,
-        _gap_set=frozenset(gap_set),
-    )
+    scale = gcd(*gens)
+    normalized = [g // scale for g in gens]
+    # Double the window until its top `multiplicity` bits are all members;
+    # every integer past such a run is a member too.
+    m = normalized[0]
+    size = 2 * (normalized[-1] + 1)
+    while True:
+        if size > MAX_WINDOW_BITS:
+            raise CapabilityError(f"semigroup {','.join(map(str, gens))} needs "
+                                  f"a window of more than {MAX_WINDOW_BITS} bits")
+        reach, minimal = _reach(normalized, size)
+        if reach >> (size - m) == (1 << m) - 1:
+            break
+        size *= 2
+    conductor = (~reach & ((1 << size) - 1)).bit_length()
+    members = format(reach, "b")[::-1]
+    gaps = tuple(i for i in range(conductor) if members[i] == "0")
+    return NumericalSemigroup(tuple(minimal), scale, gaps, frobenius=conductor - 1,
+                              conductor=conductor, _gap_set=frozenset(gaps))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,13 @@ def _check(checks: list, name: str, ok: bool, detail: str = ""):
                    "detail": detail})
 
 
+def _rng(seed: int, trials: int) -> random.Random:
+    """The random source of one suite run; a run of no trials would pass vacuously."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return random.Random(seed)
+
+
 def _report(name: str, trials: int, checks: list) -> dict:
     failures = sum(1 for c in checks if c["status"] == "fail")
     return {"name": name, "trials": trials, "checks": checks,
@@ -81,7 +88,7 @@ def _window(ideal: mid.FractionalIdeal) -> range:
 
 
 def suite_semigroup_oracle(seed: int = 0, trials: int = 500) -> dict:
-    rng = random.Random(seed)
+    rng = _rng(seed, trials)
     checks: list = []
     bad = 0
     for t in range(trials):
@@ -126,7 +133,7 @@ def suite_semigroup_oracle(seed: int = 0, trials: int = 500) -> dict:
 
 
 def suite_closure_identities(seed: int = 0, trials: int = 200) -> dict:
-    rng = random.Random(seed)
+    rng = _rng(seed, trials)
     checks: list = []
     bad = 0
     for t in range(trials):
@@ -202,7 +209,7 @@ def _coeff_candidates(rng: random.Random, domain, *ideals) -> list:
 
 def suite_pair_identities(seed: int = 0, trials: int = 200,
                           probes: int = 100) -> dict:
-    rng = random.Random(seed)
+    rng = _rng(seed, trials)
     checks: list = []
     bad = 0
     total_probes = 0
@@ -319,7 +326,7 @@ def _support_elements(domain, sgp, pool, support):
 
 
 def suite_content(seed: int = 0, trials: int = 200) -> dict:
-    rng = random.Random(seed)
+    rng = _rng(seed, trials)
     checks: list = []
     sgp = from_generators([1])
     for domain, label in ((dom.CoefficientDomain.rationals(), "Q"),
@@ -368,7 +375,7 @@ def _invertible_domain_pool():
 
 
 def suite_decomposition(seed: int = 0, trials: int = 100) -> dict:
-    rng = random.Random(seed)
+    rng = _rng(seed, trials)
     checks: list = []
     bad = 0
     for t in range(trials):
@@ -426,7 +433,7 @@ def _random_subring_member(rng: random.Random) -> qdr.QuadricElement:
 
 
 def suite_quadric(seed: int = 0, trials: int = 500) -> dict:
-    rng = random.Random(seed)
+    rng = _rng(seed, trials)
     checks: list = []
     bad = 0
     for _ in range(trials):
@@ -467,7 +474,7 @@ _DISC_POOL = (-4, -20, -23, -24, -84)
 
 
 def suite_domains(seed: int = 0, trials: int = 120) -> dict:
-    rng = random.Random(seed)
+    rng = _rng(seed, trials)
     checks: list = []
     bad = 0
     for t in range(trials):
@@ -535,8 +542,6 @@ SUITES = {
 
 def run_suites(seed: int = 0, trials: int | None = None,
                only: str | None = None) -> list[dict]:
-    if trials is not None and trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     names = [only] if only else list(SUITES)
     if only and only not in SUITES:
         raise ValueError(f"unknown suite {only!r}; choose from {sorted(SUITES)}")

@@ -1,6 +1,7 @@
 """Exit codes, report schema, and determinism of the command line front end."""
 
 import json
+import time
 
 import pytest
 
@@ -87,6 +88,31 @@ def test_out_of_range_values_exit_two(argv):
     code, report = cli.run(argv)
     assert code == 2
     assert "error" in report
+
+
+OVERRIDE_VALUES = {"sgp": "2,3", "domain": "O[sqrt(-27)]", "bound": "3",
+                   "trials": "1"}
+
+
+@pytest.mark.parametrize("name, override", [
+    (name, key) for name, (_, reads) in cli.DEMOS.items()
+    for key in cli.DEMO_OVERRIDES if key not in reads])
+def test_demos_refuse_overrides_they_ignore(name, override):
+    code, report = cli.run(["demo", name, f"--{override}", OVERRIDE_VALUES[override]])
+    assert code == 2
+    assert f"does not take --{override}" in report["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sgp", "info", "--sgp", "1000003,1000033"],
+    ["sgp", "ideal", "--sgp", "2,3", "--gens=-2000000,2000000"],
+])
+def test_oversized_input_exits_two_before_allocating(argv):
+    started = time.monotonic()
+    code, report = cli.run(argv)
+    assert code == 2
+    assert "window of more than" in report["error"]
+    assert time.monotonic() - started < 0.5
 
 
 def test_ex217_reports_a_failed_condition_on_a_nonmaximal_order():

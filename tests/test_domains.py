@@ -332,8 +332,9 @@ def test_class_group_capability_limits():
         dom.class_group(D3)
     with pytest.raises(CapabilityError):
         dom.class_group(Z)
-    with pytest.raises(CapabilityError):
-        dom.domain_for_discriminant(-12)
+    for disc in (-12, -27, -75):
+        with pytest.raises(CapabilityError, match="not a fundamental discriminant"):
+            dom.domain_for_discriminant(disc)
     with pytest.raises(ValueError):
         dom.domain_for_discriminant(5)
 

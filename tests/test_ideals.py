@@ -103,6 +103,16 @@ def test_t_closure_definitional_agreement(monoid, gens):
     assert mid.t_closure(y) == mid.v_closure(y)
 
 
+def test_colon_whose_minimum_lies_above_the_window_start():
+    y = mid.ideal_from_generators(S35, [-8])
+    z = mid.ideal_from_generators(S35, [-5, -3])
+    q = mid.colon(y, z)
+    assert q.min_generators == (0, 7)
+    assert q.min > y.min - z.min
+    for h in span(q):
+        assert q.contains(h) == model_colon_member(y, z, h)
+
+
 def test_gap_filling_ideal_fixture():
     y0 = mid.ideal_from_generators(S23, [2, 3])
     assert not mid.is_principal(y0)

@@ -83,6 +83,14 @@ def test_membership_matches_reachability(gens):
     model = reachable(normalized, bound)
     for value in range(-3, bound + 1):
         assert s.contains(value) == (value in model)
+    gaps = tuple(v for v in range(bound + 1) if v not in model)
+    assert s.gaps == gaps
+    assert s.conductor == (gaps[-1] + 1 if gaps else 0)
+    assert s.frobenius == s.conductor - 1
+    nonzero = sorted(model - {0})
+    assert s.generators == tuple(
+        v for v in nonzero
+        if not any(v - a in model for a in nonzero if a < v))
 
 
 @given(st.lists(st.integers(min_value=2, max_value=12), min_size=1, max_size=4))
@@ -105,10 +113,18 @@ def test_apery_requires_member():
 
 
 def test_member_bits_agrees_with_contains():
-    s = from_generators([3, 5])
-    bits = s.member_bits(20)
-    for i in range(20):
-        assert bool((bits >> i) & 1) == s.contains(i)
+    for gens in ([3, 5], [4, 6, 9], [1], [7, 11, 13]):
+        s = from_generators(gens)
+        for size in (0, 1, s.conductor // 2, s.conductor, s.conductor + 20):
+            bits = s.member_bits(size)
+            assert bits >> size == 0
+            for i in range(size):
+                assert bool((bits >> i) & 1) == s.contains(i)
+
+
+def test_oversized_semigroup_is_refused():
+    with pytest.raises(CapabilityError):
+        from_generators([1000003, 1000033])
 
 
 def test_parse_numerical():

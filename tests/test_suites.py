@@ -26,6 +26,9 @@ def test_unknown_suite_is_rejected():
 def test_zero_trials_are_refused(trials):
     with pytest.raises(ValueError):
         run_suites(0, trials, "closure")
+    for suite in SUITES.values():
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            suite(0, trials)
 
 
 def test_domains_suite_judges_composition_by_the_ideal_product():
