@@ -35,16 +35,27 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _is_squarefree(n: int) -> bool:
-    n = abs(n)
-    f = 2
+# Largest |n| that `_prime_factors` accepts: at most 2^20 trial divisions.
+MAX_TRIAL_DIVISION = 1 << 40
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of |n| with multiplicity, ascending, by trial
+    division; |n| above ``MAX_TRIAL_DIVISION`` raises ``CapabilityError``."""
+    if abs(n) > MAX_TRIAL_DIVISION:
+        raise CapabilityError(f"{n} is too large to factor (|n| > {MAX_TRIAL_DIVISION})")
+    n, factors, f = abs(n), [], 2
     while f * f <= n:
-        if n % (f * f) == 0:
-            return False
         while n % f == 0:
+            factors.append(f)
             n //= f
         f += 1
-    return True
+    return factors + [n] if n > 1 else factors
+
+
+def _is_squarefree(n: int) -> bool:
+    factors = _prime_factors(n)
+    return len(set(factors)) == len(factors)
 
 
 @dataclass(frozen=True)
@@ -512,20 +523,13 @@ def reduced_forms(disc: int) -> list[QuadForm]:
 def domain_for_discriminant(disc: int) -> CoefficientDomain:
     if disc >= 0:
         raise ValueError("discriminant must be negative")
-    if disc % 4 == 1:
-        if not _is_squarefree(disc):
-            raise CapabilityError(f"{disc} is not a fundamental discriminant")
-        domain = CoefficientDomain.maximal_order(disc)
-    elif disc % 4 == 0:
-        d = disc // 4
-        if d % 4 == 1 or not _is_squarefree(d):
-            raise CapabilityError(f"{disc} is not a fundamental discriminant")
-        domain = CoefficientDomain.z_sqrt(d)
-    else:
+    if disc % 4 not in (0, 1):
         raise ValueError("discriminant must be 0 or 1 mod 4")
-    if domain.discriminant != disc:
+    # fundamental: disc squarefree, or disc = 4d with d squarefree, d != 1 mod 4
+    d = disc if disc % 4 == 1 else disc // 4
+    if (disc % 4 == 0 and d % 4 == 1) or not _is_squarefree(d):
         raise CapabilityError(f"{disc} is not a fundamental discriminant")
-    return domain
+    return CoefficientDomain.maximal_order(d)
 
 
 def form_to_ideal(domain: CoefficientDomain, form: QuadForm) -> CoeffIdeal:
@@ -662,6 +666,8 @@ def parse_domain(text: str) -> CoefficientDomain:
                 raise ParseError(f"bad radicand in {text!r}") from exc
             try:
                 return factory(d)
+            except CapabilityError:
+                raise
             except ValueError as exc:
                 raise ParseError(str(exc)) from exc
     raise ParseError(f"unknown domain {text!r}")

@@ -14,7 +14,7 @@ class MismatchError(ValueError):
 
 
 class ExtractionError(ValueError):
-    """A homogeneous ideal failed the split-form sampling check."""
+    """A homogeneous ideal is not the split product of its two parts."""
 
 
 class ExponentCapError(RuntimeError):

@@ -47,18 +47,6 @@ class GradedElement:
     def coefficients(self) -> tuple:
         return tuple(b for _, b in self.terms)
 
-    def coefficient(self, g: int):
-        for e, b in self.terms:
-            if e == g:
-                return b
-        return self.domain.coerce(0)
-
-    def is_homogeneous(self) -> bool:
-        return len(self.terms) <= 1
-
-    def component(self, g: int) -> "GradedElement":
-        return graded_element(self.domain, self.monoid, [(g, self.coefficient(g))])
-
     def _combine(self, other, sign: int) -> "GradedElement":
         o = self._lift(other)
         acc = dict(self.terms)
@@ -137,10 +125,6 @@ def monomial(domain: CoefficientDomain, monoid: NumericalSemigroup,
     return graded_element(domain, monoid, [(exponent, coeff)])
 
 
-def zero(domain: CoefficientDomain, monoid: NumericalSemigroup) -> GradedElement:
-    return GradedElement(domain, monoid, ())
-
-
 def in_monoid_ring(x: GradedElement) -> bool:
     """Does x lie in the monoid ring itself (integral coefficients, monoid exponents)?"""
     return all(x.monoid.contains(g) for g in x.exponents) and \
@@ -156,11 +140,16 @@ def content(x: GradedElement) -> CoeffIdeal:
 
 # --- element text form -------------------------------------------------------
 
+# Deepest parenthesis nesting parsed; three Python frames per level.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, domain: CoefficientDomain,
                  monoid: NumericalSemigroup):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.domain = domain
         self.monoid = monoid
 
@@ -186,7 +175,7 @@ class _Parser:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             self.error("expected an integer")
@@ -215,9 +204,13 @@ class _Parser:
         ch = self.peek()
         if ch == "(":
             self.take("(")
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}")
             value = self.expr()
             if not self.take(")"):
                 self.error("expected ')'")
+            self.depth -= 1
             return value
         if ch == "w":
             self.pos += 1
@@ -260,11 +253,9 @@ class HomogeneousIdeal:
     monoid: NumericalSemigroup
     gens: tuple[tuple[object, int], ...]    # (nonzero coefficient, exponent)
 
-    def generator_elements(self) -> list[GradedElement]:
-        return [monomial(self.domain, self.monoid, g, b) for b, g in self.gens]
-
     def text(self) -> str:
-        return "(" + ", ".join(e.text() for e in self.generator_elements()) + ")"
+        return "(" + ", ".join(monomial(self.domain, self.monoid, g, b).text()
+                               for b, g in self.gens) + ")"
 
 
 def homogeneous_ideal(domain: CoefficientDomain, monoid: NumericalSemigroup,
@@ -296,16 +287,21 @@ def content_of_ideal(gens) -> HomogeneousIdeal:
     return homogeneous_ideal(first.domain, first.monoid, pieces)
 
 
+def _component(ideal: HomogeneousIdeal, beta: int) -> CoeffIdeal | None:
+    """The degree-``beta`` coefficient ideal of ``ideal``, generated by the a of
+    the generators a*X^alpha with beta - alpha in the monoid; None if none."""
+    usable = [a for a, alpha in ideal.gens if ideal.monoid.contains(beta - alpha)]
+    return dom.ideal_from_generators(ideal.domain, usable) if usable else None
+
+
 def homogeneous_membership(ideal: HomogeneousIdeal, f: GradedElement) -> bool:
-    """Exact membership: each component must lie in the coefficient ideal of
-    the generators whose exponent shift lands in the monoid."""
+    """Exact membership: each component of ``f`` must lie in the component of
+    ``ideal`` of the same degree."""
     if f.domain != ideal.domain or f.monoid != ideal.monoid:
         raise MismatchError("element and ideal live over different rings")
     for beta, b in f.terms:
-        usable = [a for a, alpha in ideal.gens if ideal.monoid.contains(beta - alpha)]
-        if not usable:
-            return False
-        if not dom.ideal_from_generators(ideal.domain, usable).contains(b):
+        part = _component(ideal, beta)
+        if part is None or not part.contains(b):
             return False
     return True
 
@@ -374,58 +370,53 @@ def pair_is_principal(pair: IdealPair) -> bool:
         mid.is_principal(pair.exps)
 
 
-def pair_to_homogeneous(pair: IdealPair, monoid: NumericalSemigroup | None = None
-                        ) -> HomogeneousIdeal:
-    monoid = monoid or pair.exps.monoid
+def pair_to_homogeneous(pair: IdealPair) -> HomogeneousIdeal:
     gens = [(b, g) for b in pair.coeff.basis_elements()
             for g in pair.exps.min_generators]
-    return homogeneous_ideal(pair.coeff.domain, monoid, gens)
+    return homogeneous_ideal(pair.coeff.domain, pair.exps.monoid, gens)
 
 
-def _coefficient_samples(ideal: CoeffIdeal, rng: random.Random, count: int) -> list:
-    """Nonzero elements of a coefficient ideal, small basis combinations."""
+def _coefficient_sample(ideal: CoeffIdeal, rng: random.Random):
+    """A nonzero element of a coefficient ideal, a small basis combination."""
     basis = ideal.basis_elements()
-    out = []
-    while len(out) < count:
+    while True:
         coords = [rng.randint(-3, 3) for _ in basis]
         value = sum((c * b for c, b in zip(coords, basis)),
                     start=ideal.domain.coerce(0))
         if value:
-            out.append(value)
-    return out
+            return value
 
 
-def extract_pair(ideal: HomogeneousIdeal, assume_divisorial: bool = False,
-                 samples: int = 60, seed: int = 0) -> IdealPair:
-    """Split a homogeneous ideal into a coefficient part and an exponent part.
+def extract_pair(ideal: HomogeneousIdeal, assume_divisorial: bool = False) -> IdealPair:
+    """Split a homogeneous ideal into the coefficient ideal of its generators'
+    coefficients and the exponent ideal of their exponents.
 
-    The split is exact for divisorial ideals; with ``assume_divisorial`` the
-    claimed equality is sampled and any witness of failure is raised.
+    With ``assume_divisorial`` the split is checked exactly: at each degree of
+    the exponent ideal the ideal's component must be the whole coefficient
+    ideal, else ``ExtractionError`` names a missing element of lowest degree.
+
+    >>> from sgclass.semigroups import from_generators
+    >>> s23, z = from_generators([2, 3]), dom.CoefficientDomain.integers()
+    >>> extract_pair(homogeneous_ideal(z, s23, [(2, 2), (2, 3)]), True).text()
+    '(2)[gens=2,3@sgp=2,3]'
+    >>> extract_pair(homogeneous_ideal(z, s23, [(2, 2), (3, 3)]), True)
+    ... # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    sgclass.errors.ExtractionError: ideal is not a split product: X^2 lies in ...
     """
     coeff = dom.ideal_from_generators(ideal.domain, [a for a, _ in ideal.gens])
     exps = mid.ideal_from_generators(ideal.monoid, [g for _, g in ideal.gens])
     pair = IdealPair(coeff, exps)
     if assume_divisorial:
-        rng = random.Random(seed)
-        window = range(exps.min, exps.stable_bound + 2 * ideal.monoid.conductor + 1)
-        exponents = [g for g in window if exps.contains(g)]
-        coeffs = _coefficient_samples(coeff, rng, max(1, samples // max(1, len(exponents))))
-        checked = 0
-        for b in coeffs:
-            for g in exponents:
-                if checked >= samples:
-                    break
-                candidate = monomial(ideal.domain, ideal.monoid, g, b)
-                checked += 1
-                if not homogeneous_membership(ideal, candidate):
-                    raise ExtractionError(
-                        f"ideal is not a split product: {candidate.text()} lies in "
-                        f"{pair.text()} but not in the ideal")
-        ordered = sorted({a for a, _ in ideal.gens}, key=repr)
-        for b in ordered:
-            for g in exponents[:max(1, samples // max(1, len(ordered)))]:
-                candidate = monomial(ideal.domain, ideal.monoid, g, b)
-                if not homogeneous_membership(ideal, candidate):
+        # from max alpha + conductor on, every generator is usable
+        top = max(g for _, g in ideal.gens) + ideal.monoid.conductor
+        for beta in range(exps.min, top):
+            part = _component(ideal, beta)
+            if part is None:    # beta is not in the exponent ideal
+                continue
+            for b in coeff.basis_elements():
+                if not part.contains(b):
+                    candidate = monomial(ideal.domain, ideal.monoid, beta, b)
                     raise ExtractionError(
                         f"ideal is not a split product: {candidate.text()} lies in "
                         f"{pair.text()} but not in the ideal")
@@ -523,7 +514,7 @@ def inverse_content_product_check(a: GradedElement, samples: int = 100,
     for _ in range(samples):
         terms = {}
         for g in rng.sample(window, k=min(len(window), rng.randint(1, 3))):
-            terms[g] = _coefficient_samples(inv_coeff, rng, 1)[0]
+            terms[g] = _coefficient_sample(inv_coeff, rng)
         g_elem = graded_element(a.domain, a.monoid, terms.items())
         if not g_elem:
             continue

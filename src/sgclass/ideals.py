@@ -20,6 +20,9 @@ from itertools import combinations
 from .errors import CapabilityError, MismatchError
 from .semigroups import MAX_WINDOW_BITS, NumericalSemigroup, _bit_positions
 
+# Most minimal generators the definitional t-closure takes (2^n - 1 subsets).
+MAX_DEFINITIONAL_GENERATORS = 16
+
 
 @dataclass(frozen=True)
 class FractionalIdeal:
@@ -145,8 +148,9 @@ def t_closure(y: FractionalIdeal, definitional: bool = False) -> FractionalIdeal
     if not definitional:
         return v_closure(y)
     gens = y.min_generators
-    if len(gens) > 16:
-        raise ValueError("definitional t-closure is capped at 16 generators")
+    if len(gens) > MAX_DEFINITIONAL_GENERATORS:
+        raise ValueError("definitional t-closure is capped at "
+                         f"{MAX_DEFINITIONAL_GENERATORS} generators")
     closures = [v_closure(ideal_from_generators(y.monoid, subset))
                 for r in range(1, len(gens) + 1)
                 for subset in combinations(gens, r)]

@@ -17,21 +17,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .domains import _prime_factors
 from .errors import CapabilityError, ParseError
 
 # Widest member window, in bits, that a semigroup or an ideal may need.
 MAX_WINDOW_BITS = 1 << 20
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -104,11 +94,13 @@ def _member_bits(generators: tuple[int, ...], size: int) -> int:
 
 def _reach(gens, size: int) -> tuple[int, list[int]]:
     """Members in [0, size) of the monoid generated by the ascending ``gens``,
-    as a bit set, and the gens (if below size) that are not sums of smaller ones."""
+    as a bit set, and the gens below size that are not sums of smaller ones."""
     mask = (1 << size) - 1
     reach = 1 & mask
     minimal = []
     for g in gens:
+        if g >= size:
+            break
         if (reach >> g) & 1:
             continue
         minimal.append(g)
@@ -136,11 +128,12 @@ def from_generators(raw) -> NumericalSemigroup:
     scale = gcd(*gens)
     normalized = [g // scale for g in gens]
     # Double the window until its top `multiplicity` bits are all members;
-    # every integer past such a run is a member too.
+    # every integer past such a run is a member too.  A generator at or past
+    # that window is at least conductor + multiplicity, so not minimal.
     m = normalized[0]
-    size = 2 * (normalized[-1] + 1)
+    size = min(2 * (normalized[-1] + 1), MAX_WINDOW_BITS)
     while True:
-        if size > MAX_WINDOW_BITS:
+        if size > MAX_WINDOW_BITS or m >= size:
             raise CapabilityError(f"semigroup {','.join(map(str, gens))} needs "
                                   f"a window of more than {MAX_WINDOW_BITS} bits")
         reach, minimal = _reach(normalized, size)
@@ -169,7 +162,7 @@ class MonoidDescriptor:
     def __post_init__(self):
         if (self.semigroup is None) == (self.prime is None):
             raise ValueError("exactly one of semigroup and prime must be given")
-        if self.prime is not None and not _is_prime(self.prime):
+        if self.prime is not None and _prime_factors(self.prime) != [self.prime]:
             raise ValueError(f"{self.prime} is not prime")
 
     @classmethod
@@ -239,11 +232,13 @@ def parse_monoid(text: str) -> MonoidDescriptor:
             p = int(text[len("p^inf:"):])
         except ValueError as exc:
             raise ParseError(f"bad p-power cone spec {text!r}") from exc
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ParseError(f"{p} is not prime")
         return MonoidDescriptor.p_power_cone(p)
     gens = parse_int_list(text)
     try:
         return MonoidDescriptor.numerical(from_generators(gens))
+    except CapabilityError:
+        raise
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

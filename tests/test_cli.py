@@ -6,6 +6,7 @@ import time
 import pytest
 
 from sgclass import cli, suites
+from sgclass import ideals as mid
 
 REPORT_KEYS = {"schema", "command", "inputs", "results", "checks", "seed",
                "elapsed"}
@@ -113,6 +114,40 @@ def test_oversized_input_exits_two_before_allocating(argv):
     assert code == 2
     assert "window of more than" in report["error"]
     assert time.monotonic() - started < 0.5
+
+
+@pytest.mark.parametrize("argv", [
+    ["sgp", "info", "--sgp", "p^inf:100000000000000003"],
+    ["demo", "ex217", "--domain", "Z[sqrt(-100000000000000003)]"],
+])
+def test_numbers_past_the_trial_division_cap_exit_two(argv):
+    started = time.monotonic()
+    code, report = cli.run(argv)
+    assert code == 2
+    assert "too large to factor" in report["error"]
+    assert time.monotonic() - started < 1.0
+
+
+def test_t_closure_check_compares_with_the_definitional_closure(monkeypatch):
+    argv = ["sgp", "ideal", "--sgp", "3,5", "--gens", "0,1", "--op", "t"]
+    code, report = cli.run(argv)
+    assert code == 0 and statuses(report) == ["pass"]
+    real = mid.t_closure
+
+    def broken(y, definitional=False):
+        return real(y).shift(1) if definitional else real(y)
+    monkeypatch.setattr(mid, "t_closure", broken)
+    code, report = cli.run(argv)
+    assert code == 1 and statuses(report) == ["fail"]
+
+
+def test_t_closure_check_is_skipped_past_the_definitional_cap():
+    sgp = ",".join(str(g) for g in range(17, 34))
+    gens = ",".join(str(g) for g in range(17))
+    code, report = cli.run(["sgp", "ideal", "--sgp", sgp, "--gens", gens, "--op", "t"])
+    assert code == 0
+    assert len(report["results"]["result"]["generators"]) == 17
+    assert statuses(report) == ["skipped"]
 
 
 def test_ex217_reports_a_failed_condition_on_a_nonmaximal_order():

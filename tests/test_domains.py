@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sgclass import domains as dom
 from sgclass.errors import CapabilityError, MismatchError, ParseError
@@ -337,6 +337,23 @@ def test_class_group_capability_limits():
             dom.domain_for_discriminant(disc)
     with pytest.raises(ValueError):
         dom.domain_for_discriminant(5)
+
+
+def test_radicands_past_the_trial_division_cap_are_refused():
+    with pytest.raises(CapabilityError, match="too large to factor"):
+        dom.CoefficientDomain.z_sqrt(-100000000000000003)
+    with pytest.raises(CapabilityError, match="too large to factor"):
+        dom.parse_domain("O[sqrt(-100000000000000003)]")
+
+
+@given(st.text(alphabet="ZOQ[sqrt(-)]0123456789 ", max_size=30) | st.text(max_size=30))
+@example("Z[sqrt(-100000000000000003)]")
+@settings(deadline=None)
+def test_parse_domain_raises_only_value_errors(text):
+    try:
+        dom.parse_domain(text)
+    except ValueError:
+        pass
 
 
 def test_parse_domain():

@@ -1,15 +1,20 @@
 """Monoid rings over a coefficient domain: contents, graded ideals, and the
 coefficient/exponent decomposition of homogeneous classes."""
 
+import random
+import re
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sgclass import domains as dom
 from sgclass import ideals as mid
 from sgclass.errors import CapabilityError, ExtractionError, ParseError
 from sgclass.graded import (
+    MAX_NESTING,
     GradedElement,
     IdealPair,
     content,
@@ -65,6 +70,24 @@ def test_parse_rejects_malformed_text():
     for text in ("2+", "X^", "1//2", "q*X", "(2+3", ""):
         with pytest.raises(ParseError):
             parse_element(Z, S23, text)
+
+
+@given(st.sampled_from((Z, Q, D5)),
+       st.text(alphabet="0123456789()+-*/^Xw ", max_size=40) | st.text(max_size=40))
+@example(Z, "(" * 3000 + "1" + ")" * 3000)
+@settings(deadline=None)
+def test_parse_element_raises_only_value_errors(domain, text):
+    try:
+        parse_element(domain, S23, text)
+    except ValueError:
+        pass
+
+
+def test_parse_nesting_is_capped():
+    deep = "(" * MAX_NESTING + "X" + ")" * MAX_NESTING
+    assert parse_element(Z, S23, deep).text() == "X"
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_element(Z, S23, "(" + deep + ")")
 
 
 def test_ring_arithmetic_on_fixed_elements():
@@ -204,6 +227,53 @@ def test_extraction_recovers_clean_pairs():
     sp = extract_pair(single, assume_divisorial=True)
     assert sp.exps.min_generators == (3,)
     assert sp.coeff.contains(D5.element(1, 1))
+
+
+def test_extraction_pins_the_first_degree_that_does_not_split():
+    # (2, 1+w) is the non-principal prime over 2; degree 1 is reached by 2*X only
+    prime = dom.ideal_from_generators(D5, [2, D5.element(1, 1)])
+    h = homogeneous_ideal(D5, S23, [(2, 0), (D5.element(1, 1), 0), (2, 1)])
+    pair = extract_pair(h)
+    assert pair == IdealPair(prime, mid.ideal_from_generators(S23, [0, 1]))
+    with pytest.raises(ExtractionError,
+                       match=r"^ideal is not a split product: \(1\+w\)\*X lies in "):
+        extract_pair(h, assume_divisorial=True)
+    whole = homogeneous_ideal(D5, S23, list(h.gens) + [(D5.element(1, 1), 1)])
+    assert extract_pair(whole, assume_divisorial=True) == pair
+
+
+def _extraction_ideals(sgp):
+    """Every Z-ideal with one or two generators a*X^alpha, a in 1..12 and
+    alpha in -2..8, and a seeded sample of those with three."""
+    gens = [(a, alpha) for a in range(1, 13) for alpha in range(-2, 9)]
+    for k in (1, 2):
+        for chosen in combinations_with_replacement(gens, k):
+            yield homogeneous_ideal(Z, sgp, chosen)
+    rng = random.Random(sgp.conductor)
+    for _ in range(1000):
+        yield homogeneous_ideal(Z, sgp, [rng.choice(gens) for _ in range(3)])
+
+
+@pytest.mark.parametrize("sgp", [from_generators(g) for g in ([2, 3], [3, 5], [4, 6, 9])],
+                         ids=lambda s: s.text())
+def test_extraction_matches_the_gcd_model(sgp):
+    window = range(-2, 9 + sgp.conductor + sgp.multiplicity)
+    members = [m for m in range(len(window)) if sgp.contains(m)]
+    for ideal in _extraction_ideals(sgp):
+        whole = gcd(*(int(a) for a, _ in ideal.gens))
+        reached = {alpha + m for _, alpha in ideal.gens for m in members}
+        degrees = [beta for beta in window if beta in reached]
+        failing = next((beta for beta in degrees
+                        if not model_component_membership(ideal, beta, whole)), None)
+        pair = extract_pair(ideal)
+        assert pair.coeff.scale == whole
+        assert [beta for beta in window if pair.exps.contains(beta)] == degrees
+        if failing is not None:
+            witness = monomial(Z, sgp, failing, whole).text()
+            with pytest.raises(ExtractionError, match=rf"split product: {re.escape(witness)} "):
+                extract_pair(ideal, assume_divisorial=True)
+        else:
+            assert extract_pair(ideal, assume_divisorial=True) == pair
 
 
 def test_extraction_reports_a_mixed_ideal():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sgclass.errors import CapabilityError, ParseError
 from sgclass.semigroups import MonoidDescriptor, from_generators, parse_monoid
@@ -125,6 +125,16 @@ def test_member_bits_agrees_with_contains():
 def test_oversized_semigroup_is_refused():
     with pytest.raises(CapabilityError):
         from_generators([1000003, 1000033])
+    with pytest.raises(CapabilityError):
+        parse_monoid("1000003,1000033")
+    with pytest.raises(CapabilityError, match="too large to factor"):
+        parse_monoid("p^inf:100000000000000003")
+
+
+def test_generators_past_the_window_cap_are_redundant():
+    assert from_generators([1, 600000]).generators == (1,)
+    s = from_generators([2, 3, 5000000])
+    assert s.generators == (2, 3) and s.conductor == 2
 
 
 def test_parse_numerical():
@@ -160,6 +170,17 @@ def test_parse_rejects_garbage():
     for text in ("", "2,x", "p^inf:6", "p^inf:", "0"):
         with pytest.raises(ParseError):
             parse_monoid(text)
+
+
+@given(st.text(alphabet="0123456789,-p^inf: ", max_size=30) | st.text(max_size=30))
+@example("p^inf:100000000000000003")
+@example("1,600000")
+@settings(deadline=None)
+def test_parse_monoid_raises_only_value_errors(text):
+    try:
+        parse_monoid(text)
+    except ValueError:
+        pass
 
 
 def test_parse_tolerates_blank_parts():
