@@ -374,9 +374,13 @@ def run(argv) -> tuple[int, dict]:
     report["elapsed"] = time.monotonic() - started
     json_path = getattr(args, "json", None)
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            report["error"] = f"cannot write --json file: {exc}"
+            return 2, report
     code = 1 if any(c["status"] == "fail" for c in checks) else 0
     return code, report
 

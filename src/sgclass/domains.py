@@ -506,18 +506,12 @@ def reduced_forms(disc: int) -> list[QuadForm]:
         raise ValueError("discriminant must be negative and 0 or 1 mod 4")
     forms = []
     for a in range(1, isqrt(-disc // 3) + 1):
-        for b in range(-a, a + 1):
-            if (b - disc) % 2:
-                continue
-            if (b * b - disc) % (4 * a):
-                continue
-            c = (b * b - disc) // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (-b == a or a == c):
-                continue
-            forms.append(QuadForm(a, b, c))
-    return sorted(forms, key=lambda f: (f.a, f.b, f.c))
+        for b in range(-a + (a + disc) % 2, a + 1, 2):   # b = disc mod 2
+            if (b * b - disc) % (4 * a) == 0:
+                form = QuadForm(a, b, (b * b - disc) // (4 * a))
+                if form.is_reduced():
+                    forms.append(form)
+    return forms   # in (a, b, c) order: a and b ascend, c follows from them
 
 
 def domain_for_discriminant(disc: int) -> CoefficientDomain:

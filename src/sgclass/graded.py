@@ -10,7 +10,6 @@ component that can be handled independently.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,14 +46,6 @@ class GradedElement:
     def coefficients(self) -> tuple:
         return tuple(b for _, b in self.terms)
 
-    def _combine(self, other, sign: int) -> "GradedElement":
-        o = self._lift(other)
-        acc = dict(self.terms)
-        for g, b in o.terms:
-            cur = acc.get(g, self.domain.coerce(0))
-            acc[g] = cur + b if sign > 0 else cur - b
-        return graded_element(self.domain, self.monoid, acc.items())
-
     def _lift(self, other) -> "GradedElement":
         if isinstance(other, GradedElement):
             if other.domain != self.domain or other.monoid != self.monoid:
@@ -63,29 +54,26 @@ class GradedElement:
         return graded_element(self.domain, self.monoid, [(0, other)])
 
     def __add__(self, other):
-        return self._combine(other, +1)
+        return graded_element(self.domain, self.monoid,
+                              self.terms + self._lift(other).terms)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self + (-self._lift(other))
 
     def __rsub__(self, other):
         return self._lift(other) - self
 
     def __neg__(self):
-        return graded_element(self.domain, self.monoid,
-                              [(g, -b) for g, b in self.terms])
+        return GradedElement(self.domain, self.monoid,
+                             tuple((g, -b) for g, b in self.terms))
 
     def __mul__(self, other):
         o = self._lift(other)
-        acc: dict[int, object] = {}
-        for g1, b1 in self.terms:
-            for g2, b2 in o.terms:
-                g = g1 + g2
-                prod = b1 * b2
-                acc[g] = acc[g] + prod if g in acc else prod
-        return graded_element(self.domain, self.monoid, acc.items())
+        return graded_element(self.domain, self.monoid,
+                              ((g1 + g2, b1 * b2) for g1, b1 in self.terms
+                               for g2, b2 in o.terms))
 
     __rmul__ = __mul__
 
@@ -112,12 +100,20 @@ class GradedElement:
 
 def graded_element(domain: CoefficientDomain, monoid: NumericalSemigroup,
                    terms) -> GradedElement:
+    """The normal form of a sum of (exponent, coefficient) terms: coefficients
+    of a repeated exponent are summed and zero coefficients dropped.
+
+    >>> from sgclass.semigroups import from_generators
+    >>> z, s23 = dom.CoefficientDomain.integers(), from_generators([2, 3])
+    >>> graded_element(z, s23, [(2, 3), (0, 1), (2, -1), (5, 4), (5, -4)]).text()
+    '1+2*X^2'
+    """
     acc: dict[int, object] = {}
-    for g, b in dict(terms).items():
-        coeff = domain.coerce(b)
-        if coeff:
-            acc[int(g)] = coeff
-    return GradedElement(domain, monoid, tuple(sorted(acc.items(), key=lambda t: t[0])))
+    for g, b in terms:
+        g, coeff = int(g), domain.coerce(b)
+        acc[g] = acc[g] + coeff if g in acc else coeff
+    return GradedElement(domain, monoid, tuple(sorted(
+        ((g, b) for g, b in acc.items() if b), key=lambda t: t[0])))
 
 
 def monomial(domain: CoefficientDomain, monoid: NumericalSemigroup,
@@ -376,17 +372,6 @@ def pair_to_homogeneous(pair: IdealPair) -> HomogeneousIdeal:
     return homogeneous_ideal(pair.coeff.domain, pair.exps.monoid, gens)
 
 
-def _coefficient_sample(ideal: CoeffIdeal, rng: random.Random):
-    """A nonzero element of a coefficient ideal, a small basis combination."""
-    basis = ideal.basis_elements()
-    while True:
-        coords = [rng.randint(-3, 3) for _ in basis]
-        value = sum((c * b for c, b in zip(coords, basis)),
-                    start=ideal.domain.coerce(0))
-        if value:
-            return value
-
-
 def extract_pair(ideal: HomogeneousIdeal, assume_divisorial: bool = False) -> IdealPair:
     """Split a homogeneous ideal into the coefficient ideal of its generators'
     coefficients and the exponent ideal of their exponents.
@@ -408,8 +393,10 @@ def extract_pair(ideal: HomogeneousIdeal, assume_divisorial: bool = False) -> Id
     exps = mid.ideal_from_generators(ideal.monoid, [g for _, g in ideal.gens])
     pair = IdealPair(coeff, exps)
     if assume_divisorial:
-        # from max alpha + conductor on, every generator is usable
-        top = max(g for _, g in ideal.gens) + ideal.monoid.conductor
+        # degree min alpha sees only the lowest generators; if they give the
+        # whole coefficient ideal, so does every degree from min alpha +
+        # conductor on, so only [min alpha, min alpha + conductor) can fail
+        top = exps.min + max(ideal.monoid.conductor, 1)
         for beta in range(exps.min, top):
             part = _component(ideal, beta)
             if part is None:    # beta is not in the exponent ideal
@@ -495,38 +482,31 @@ def gauss_check(x: GradedElement, y: GradedElement) -> bool:
     return content(x * y) == dom.mul(content(x), content(y))
 
 
-def inverse_content_product_check(a: GradedElement, samples: int = 100,
-                                  seed: int = 0) -> dict:
-    """Multiply a by sampled elements with coefficients in the inverse content
-    and exponents in the inverse exponent ideal; the product must land in the
-    monoid ring every time."""
+def inverse_content_product_check(a: GradedElement) -> dict:
+    """Check that a*b*X^g lies in the monoid ring for every basis element b of
+    C(a)^-1 and every minimal generator g of E(a)^-1, the inverses of the
+    content and of the exponent ideal of a.
+
+    Every element with coefficients in C(a)^-1 and exponents in E(a)^-1 is a
+    sum of products b*X^g times monoid-ring elements, so this finite check
+    covers all of them.
+    """
     if not a:
         raise ValueError("the zero element has no content")
-    rng = random.Random(seed)
     inv_coeff = dom.inverse(content(a))
-    exp_ideal = mid.ideal_from_generators(a.monoid, a.exponents)
-    inv_exps = mid.inverse(exp_ideal)
-    window = [g for g in range(inv_exps.min,
-                               inv_exps.stable_bound + 2 * a.monoid.conductor + 1)
-              if inv_exps.contains(g)]
-    passes = failures = 0
+    inv_exps = mid.inverse(mid.ideal_from_generators(a.monoid, a.exponents))
+    checked = failures = 0
     witnesses = []
-    for _ in range(samples):
-        terms = {}
-        for g in rng.sample(window, k=min(len(window), rng.randint(1, 3))):
-            terms[g] = _coefficient_sample(inv_coeff, rng)
-        g_elem = graded_element(a.domain, a.monoid, terms.items())
-        if not g_elem:
-            continue
-        if in_monoid_ring(a * g_elem):
-            passes += 1
-        else:
-            failures += 1
-            if len(witnesses) < 3:
-                witnesses.append(g_elem.text())
+    for b in inv_coeff.basis_elements():
+        for g in inv_exps.min_generators:
+            factor = monomial(a.domain, a.monoid, g, b)
+            checked += 1
+            if not in_monoid_ring(a * factor):
+                failures += 1
+                if len(witnesses) < 3:
+                    witnesses.append(factor.text())
     report = {"operation": "inverse_content_product_check",
-              "element": a.text(), "samples": samples, "passes": passes,
-              "failures": failures, "seed": seed}
+              "element": a.text(), "checked": checked, "failures": failures}
     if witnesses:
         report["witnesses"] = witnesses
     return report

@@ -4,9 +4,9 @@ while the ring itself is not integrally closed in degree zero.
 The ambient ring is Q[x, 1/x, y, z] / (yz - x^2 + x).  Normal forms keep
 monomials x^a y^b z^c with b*c = 0 (the relation rewrites yz to x^2 - x);
 x-exponents may be negative because one of the six standard generators divides
-by x.  The distinguished subring has full graded parts in every nonzero degree
-but only Q + x(x-1)Q[x] in degree zero, which is what the membership test
-enforces.
+by x.  Coefficients are exact: an int when integral, else a Fraction.  The
+distinguished subring has full graded parts in every nonzero degree but only
+Q + x(x-1)Q[x] in degree zero, which is what the membership test enforces.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import comb
 class QuadricElement:
     """Normal-form element: sorted terms ((a, b, c), coeff) with b*c = 0."""
 
-    terms: tuple[tuple[tuple[int, int, int], Fraction], ...]
+    terms: tuple[tuple[tuple[int, int, int], int | Fraction], ...]
 
     def __bool__(self):
         return bool(self.terms)
@@ -28,14 +28,10 @@ class QuadricElement:
     def _lift(self, other) -> "QuadricElement":
         if isinstance(other, QuadricElement):
             return other
-        return _element({(0, 0, 0): Fraction(other)})
+        return from_terms([((0, 0, 0), other)])
 
     def __add__(self, other):
-        o = self._lift(other)
-        acc = dict(self.terms)
-        for mono, coeff in o.terms:
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
-        return _element(acc)
+        return from_terms(self.terms + self._lift(other).terms)
 
     __radd__ = __add__
 
@@ -50,11 +46,9 @@ class QuadricElement:
 
     def __mul__(self, other):
         o = self._lift(other)
-        acc: dict[tuple[int, int, int], Fraction] = {}
-        for (a1, b1, c1), k1 in self.terms:
-            for (a2, b2, c2), k2 in o.terms:
-                _accumulate(acc, a1 + a2, b1 + b2, c1 + c2, k1 * k2)
-        return _element(acc)
+        return from_terms(((a1 + a2, b1 + b2, c1 + c2), k1 * k2)
+                          for (a1, b1, c1), k1 in self.terms
+                          for (a2, b2, c2), k2 in o.terms)
 
     __rmul__ = __mul__
 
@@ -67,93 +61,83 @@ class QuadricElement:
         return result
 
     def graded_components(self) -> dict[int, "QuadricElement"]:
-        """Split by degree b - c."""
-        split: dict[int, dict] = {}
+        """Split by degree b - c; each part keeps the sorted normal form."""
+        split: dict[int, list] = {}
         for (a, b, c), k in self.terms:
-            split.setdefault(b - c, {})[(a, b, c)] = k
-        return {d: _element(m) for d, m in sorted(split.items())}
+            split.setdefault(b - c, []).append(((a, b, c), k))
+        return {d: QuadricElement(tuple(ts)) for d, ts in sorted(split.items())}
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
-        for (a, b, c), k in self.terms:
-            factors = []
-            if a:
-                factors.append("x" if a == 1 else f"x^{a}")
-            if b:
-                factors.append("y" if b == 1 else f"y^{b}")
-            if c:
-                factors.append("z" if c == 1 else f"z^{c}")
+        for mono, k in self.terms:
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip("xyz", mono) if e]
             if not factors or abs(k) != 1:
                 factors.insert(0, str(abs(k)))
-            term = "*".join(factors)
-            parts.append(f"-{term}" if k < 0 else f"+{term}")
-        joined = "".join(parts)
-        return joined[1:] if joined.startswith("+") else joined
+            parts.append(("-" if k < 0 else "+") + "*".join(factors))
+        return "".join(parts).removeprefix("+") or "0"
 
 
-def _accumulate(acc: dict, a: int, b: int, c: int, coeff: Fraction):
+def _exact(coeff) -> int | Fraction:
+    """An exact coefficient: an int when integral, else a Fraction."""
+    if isinstance(coeff, int):
+        return coeff
+    q = Fraction(coeff)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _accumulate(acc: dict, a: int, b: int, c: int, coeff):
     m = min(b, c)
     if m == 0:
         key = (a, b, c)
-        acc[key] = acc.get(key, Fraction(0)) + coeff
+        acc[key] = acc.get(key, 0) + coeff
         return
     # (x^2 - x)^m = sum_k C(m,k) (-1)^(m-k) x^(m+k)
     for k in range(m + 1):
         key = (a + m + k, b - m, c - m)
-        piece = coeff * comb(m, k) * (-1) ** (m - k)
-        acc[key] = acc.get(key, Fraction(0)) + piece
-
-
-def _element(mapping) -> QuadricElement:
-    acc: dict[tuple[int, int, int], Fraction] = {}
-    for (a, b, c), coeff in dict(mapping).items():
-        _accumulate(acc, a, b, c, Fraction(coeff))
-    terms = tuple(sorted((m, k) for m, k in acc.items() if k))
-    return QuadricElement(terms)
-
-
-def one() -> QuadricElement:
-    return _element({(0, 0, 0): 1})
-
-
-def x_pow(a: int, coeff=1) -> QuadricElement:
-    return _element({(a, 0, 0): coeff})
-
-
-def y_pow(b: int, coeff=1) -> QuadricElement:
-    return _element({(0, b, 0): coeff})
-
-
-def z_pow(c: int, coeff=1) -> QuadricElement:
-    return _element({(0, 0, c): coeff})
+        acc[key] = acc.get(key, 0) + coeff * comb(m, k) * (-1) ** (m - k)
 
 
 def from_terms(entries) -> QuadricElement:
-    """entries: iterable of ((a, b, c), coeff), rewritten into normal form."""
-    acc: dict[tuple[int, int, int], Fraction] = {}
+    """The normal form of a sum of ((a, b, c), coeff) entries: each y^m z^m is
+    rewritten to (x^2 - x)^m and equal monomials are summed.
+
+    >>> yz = from_terms([((0, 1, 1), Fraction(1))])
+    >>> yz.terms
+    (((1, 0, 0), -1), ((2, 0, 0), 1))
+    >>> yz.text()
+    '-x+x^2'
+    """
+    acc: dict[tuple[int, int, int], int | Fraction] = {}
     for (a, b, c), coeff in entries:
-        _accumulate(acc, a, b, c, Fraction(coeff))
-    return _element(acc)
+        _accumulate(acc, a, b, c, _exact(coeff))
+    return QuadricElement(tuple(sorted((m, _exact(k)) for m, k in acc.items() if k)))
+
+
+def one() -> QuadricElement:
+    return from_terms([((0, 0, 0), 1)])
+
+
+def x_pow(a: int, coeff=1) -> QuadricElement:
+    return from_terms([((a, 0, 0), coeff)])
+
+
+def y_pow(b: int, coeff=1) -> QuadricElement:
+    return from_terms([((0, b, 0), coeff)])
+
+
+def z_pow(c: int, coeff=1) -> QuadricElement:
+    return from_terms([((0, 0, c), coeff)])
 
 
 def in_subring(u: QuadricElement) -> bool:
     """Membership in the subring with degree-zero part Q + x(x-1)Q[x].
 
-    Nonzero degrees only need polynomial x-exponents; the degree-zero
-    polynomial p must additionally satisfy p(0) = p(1).
+    Every degree needs polynomial x-exponents; the degree-zero polynomial p
+    (the terms with b = c = 0) must also satisfy p(0) = p(1), that is, its
+    coefficients of positive x-powers must sum to zero.
     """
-    for degree, component in u.graded_components().items():
-        if any(a < 0 for (a, _, _), _ in component.terms):
-            return False
-        if degree == 0:
-            at_zero = sum((k for (a, _, _), k in component.terms if a == 0),
-                          start=Fraction(0))
-            at_one = sum((k for _, k in component.terms), start=Fraction(0))
-            if at_zero != at_one:
-                return False
-    return True
+    return all(a >= 0 for (a, _, _), _ in u.terms) and \
+        sum(k for (a, b, c), k in u.terms if b == c and a > 0) == 0
 
 
 def standard_generators() -> dict[str, QuadricElement]:

@@ -227,18 +227,15 @@ def parse_int_list(text: str) -> list[int]:
 def parse_monoid(text: str) -> MonoidDescriptor:
     """Parse ``2,3`` as a numerical semigroup or ``p^inf:2`` as a p-power cone."""
     text = text.strip()
-    if text.startswith("p^inf:"):
-        try:
-            p = int(text[len("p^inf:"):])
-        except ValueError as exc:
-            raise ParseError(f"bad p-power cone spec {text!r}") from exc
-        if _prime_factors(p) != [p]:
-            raise ParseError(f"{p} is not prime")
-        return MonoidDescriptor.p_power_cone(p)
-    gens = parse_int_list(text)
     try:
-        return MonoidDescriptor.numerical(from_generators(gens))
-    except CapabilityError:
+        if text.startswith("p^inf:"):
+            try:
+                p = int(text[len("p^inf:"):])
+            except ValueError as exc:
+                raise ParseError(f"bad p-power cone spec {text!r}") from exc
+            return MonoidDescriptor.p_power_cone(p)
+        return MonoidDescriptor.numerical(from_generators(parse_int_list(text)))
+    except (CapabilityError, ParseError):
         raise
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

@@ -418,7 +418,7 @@ def _random_quadric(rng: random.Random) -> qdr.QuadricElement:
             mono = (a, rng.randint(0, 2), 0)
         else:
             mono = (a, 0, rng.randint(0, 2))
-        entries.append((mono, Fraction(rng.randint(-3, 3))))
+        entries.append((mono, rng.randint(-3, 3)))
     return qdr.from_terms(entries)
 
 

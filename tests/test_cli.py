@@ -243,6 +243,15 @@ def test_json_file_matches_returned_report(tmp_path):
     assert on_disk == json.loads(json.dumps(report))
 
 
+def test_unwritable_json_path_exits_two(tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    code, report = cli.run(["demo", "ex216", "--json", str(path)])
+    assert code == 2
+    assert report["error"].startswith("cannot write --json file: ")
+    assert "fail" not in statuses(report)
+    assert not path.exists()
+
+
 def test_same_seed_reports_are_identical():
     argv = ["demo", "decomposition", "--trials", "25", "--seed", "11"]
     _, first = cli.run(argv)

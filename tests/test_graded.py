@@ -53,6 +53,7 @@ D5 = dom.CoefficientDomain.z_sqrt(-5)
 D3 = dom.CoefficientDomain.z_sqrt(-3)
 S23 = from_generators([2, 3])
 S1 = from_generators([1])
+S35 = from_generators([3, 5])
 
 
 def test_parse_and_format_round_trip():
@@ -97,6 +98,50 @@ def test_ring_arithmetic_on_fixed_elements():
     assert (x * y).text() == "-2-3*X^2+2*X^3+3*X^5"
     assert (x - x).terms == ()
     assert (x * y) * y == x * (y * y)
+
+
+def _random_terms(rng, domain):
+    """Up to six (exponent, coefficient) terms over few exponents, so that
+    exponents repeat and coefficients cancel; Q gets float halves."""
+    terms = []
+    for _ in range(rng.randint(0, 6)):
+        if domain is D5:
+            coeff = D5.element(rng.randint(-2, 2), rng.randint(-2, 2))
+        elif domain is Q:
+            coeff = rng.randint(-4, 4) / 2
+        else:
+            coeff = rng.randint(-2, 2)
+        terms.append((rng.randint(-1, 3), coeff))
+    return terms
+
+
+def test_repeated_exponents_are_summed():
+    rng = random.Random(4)
+    for domain in (Z, Q, D5):
+        for _ in range(60):
+            terms = _random_terms(rng, domain)
+            x = graded_element(domain, S23, terms)
+            expected = graded_element(domain, S23, [])
+            for g, b in terms:
+                expected = expected + monomial(domain, S23, g, b)
+            assert x == expected
+            sums = {}
+            for g, b in terms:
+                sums[g] = sums.get(g, 0) + domain.coerce(b)
+            assert x.terms == tuple(sorted((g, b) for g, b in sums.items() if b))
+    assert graded_element(Z, S23, [(2, 3), (2, -3)]).terms == ()
+
+
+def test_arithmetic_keeps_coefficients_exact():
+    rng = random.Random(5)
+    for domain in (Z, Q, D5):
+        for _ in range(40):
+            x = graded_element(domain, S23, _random_terms(rng, domain))
+            y = graded_element(domain, S23, _random_terms(rng, domain))
+            for z in (x + y, x - y, x * y, -x, x * 0.5, 0.5 - y):
+                for b in z.coefficients:
+                    parts = (b.x, b.y) if domain is D5 else (b,)
+                    assert all(type(p) is Fraction for p in parts)
 
 
 def test_negative_exponents_model_the_group_ring():
@@ -240,6 +285,13 @@ def test_extraction_pins_the_first_degree_that_does_not_split():
         extract_pair(h, assume_divisorial=True)
     whole = homogeneous_ideal(D5, S23, list(h.gens) + [(D5.element(1, 1), 1)])
     assert extract_pair(whole, assume_divisorial=True) == pair
+    # over Z and 2,3 (conductor 2) the last degree below min alpha +
+    # conductor, 1, is reached by 1*X^0 only; over the whole line degree 0
+    for sgp, gens, witness in ((S23, [(1, 0), (2, 1)], "X"),
+                               (S1, [(2, 0), (3, 1)], "1")):
+        with pytest.raises(ExtractionError,
+                           match=rf"^ideal is not a split product: {witness} lies in "):
+            extract_pair(homogeneous_ideal(Z, sgp, gens), assume_divisorial=True)
 
 
 def _extraction_ideals(sgp):
@@ -357,16 +409,38 @@ def test_content_exponent_rejects_zero():
         dedekind_mertens_exponent(x, parse_element(Z, S1, "0"))
 
 
-def test_inverse_content_product_reports():
-    rep = inverse_content_product_check(parse_element(Z, S23, "2+3*X^2"),
-                                        samples=100, seed=7)
-    assert rep["failures"] == 0 and rep["passes"] > 0
-    rep2 = inverse_content_product_check(parse_element(D5, S23, "2+(1+w)*X^2"),
-                                         samples=60, seed=3)
-    assert rep2["failures"] == 0
-    rep3 = inverse_content_product_check(monomial(Z, S23, 3, 5),
-                                         samples=30, seed=1)
-    assert rep3["failures"] == 0
+INVERSE_CONTENT_CASES = [
+    (Z, S23, "2+3*X^2", 1),
+    (D5, S23, "2+(1+w)*X^2", 2),
+    (Z, S23, "5*X^3", 1),
+    (Z, S35, "1+X^2", 2),
+    (D5, S35, "2*X^3+(1+w)*X^5", 4),
+]
+
+
+def test_inverse_content_product_reports(monkeypatch):
+    """Every basis element of C(a)^-1 times every minimal generator of
+    E(a)^-1 is checked; a wrong inverse, on either side, fails every case."""
+    elements = [(parse_element(d, s, text), checked)
+                for d, s, text, checked in INVERSE_CONTENT_CASES]
+    for a, checked in elements:
+        rep = inverse_content_product_check(a)
+        assert rep == {"operation": "inverse_content_product_check",
+                       "element": a.text(), "checked": checked, "failures": 0}
+    inverse = dom.inverse
+    with monkeypatch.context() as m:
+        m.setattr(dom, "inverse", lambda i: dom.mul(
+            inverse(i), dom.ideal_from_generators(i.domain, [Fraction(1, 2)])))
+        for a, checked in elements:
+            rep = inverse_content_product_check(a)
+            assert rep["failures"] == rep["checked"] == checked
+            assert 1 <= len(rep["witnesses"]) <= 3
+    monkeypatch.setattr(mid, "inverse", lambda i: mid.unit_ideal(i.monoid))
+    rep = inverse_content_product_check(parse_element(Z, S35, "1+X^2"))
+    assert rep["failures"] == rep["checked"] == 1
+    assert rep["witnesses"] == ["1"]
+    with pytest.raises(ValueError):
+        inverse_content_product_check(parse_element(Z, S23, "0"))
 
 
 def test_semigroup_ring_integral_closure():

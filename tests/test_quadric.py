@@ -75,6 +75,22 @@ def test_addition_and_powers_match_function_field():
                               - sympy.cancel(to_function_field(u) ** 2)) == 0
 
 
+def test_arithmetic_keeps_coefficients_exact():
+    rng = random.Random(2)
+    for _ in range(40):
+        # k / 2 is a float: it must enter as an exact Fraction or int
+        u = from_terms([(m, k / 2) for m, k in random_element(rng).terms])
+        v = random_element(rng)
+        for w in (u * v, u + v, u - v, u ** 2, 3 * u, 0.5 * u, u + u):
+            for _, k in w.terms:
+                assert type(k) is (int if k.denominator == 1 else Fraction)
+    half = from_terms([((0, 0, 0), 0.5), ((0, 1, 1), Fraction(1, 2))])
+    assert half.terms == (((0, 0, 0), Fraction(1, 2)), ((1, 0, 0), Fraction(-1, 2)),
+                          ((2, 0, 0), Fraction(1, 2)))
+    assert (half + half).terms == (((0, 0, 0), 1), ((1, 0, 0), -1), ((2, 0, 0), 1))
+    assert all(type(k) is int for _, k in (half + half).terms)
+
+
 def test_graded_components_split_by_cone_degree():
     u = y_pow(1) + z_pow(1) + x_pow(3) + x_pow(0, 2)
     comps = u.graded_components()

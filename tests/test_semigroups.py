@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sgclass import semigroups
+from sgclass.domains import _prime_factors as prime_factors
 from sgclass.errors import CapabilityError, ParseError
 from sgclass.semigroups import MonoidDescriptor, from_generators, parse_monoid
 
@@ -181,6 +183,25 @@ def test_parse_monoid_raises_only_value_errors(text):
         parse_monoid(text)
     except ValueError:
         pass
+
+
+def test_parse_power_cone_factors_the_prime_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return prime_factors(n)
+
+    monkeypatch.setattr(semigroups, "_prime_factors", counting)
+    assert parse_monoid("p^inf:1000003").text() == "p^inf:1000003"
+    assert calls == [1000003]
+    calls.clear()
+    with pytest.raises(ParseError, match="^1000001 is not prime$"):
+        parse_monoid("p^inf:1000001")
+    assert calls == [1000001]
+    with pytest.raises(CapabilityError) as info:
+        parse_monoid("p^inf:100000000000000003")
+    assert type(info.value) is CapabilityError
 
 
 def test_parse_tolerates_blank_parts():
