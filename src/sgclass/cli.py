@@ -15,8 +15,9 @@ from . import graded as grd
 from . import ideals as mid
 from . import quadric as qdr
 from . import suites
-from .errors import ParseError
+from .errors import ExponentCapError, ParseError
 from .semigroups import parse_int_list, parse_monoid
+from .suites import check
 
 SEED_ENV = "SGCLASS_SEED"
 
@@ -122,9 +123,8 @@ def _cmd_sgp_info(args, checks):
         ok = len(residues) == sgp.multiplicity and \
             all(sgp.contains(a) and not sgp.contains(a - sgp.multiplicity)
                 for a in apery)
-        checks.append({"name": "Apery set covers every residue class minimally",
-                       "status": "pass" if ok else "fail",
-                       "detail": f"multiplicity {sgp.multiplicity}"})
+        check(checks, "Apery set covers every residue class minimally", ok,
+              f"multiplicity {sgp.multiplicity}")
     else:
         checks.append({"name": "ideal arithmetic unsupported on this monoid",
                        "status": "skipped",
@@ -155,9 +155,8 @@ def _cmd_sgp_ideal(args, checks):
     else:
         reduced = mid.class_reduce(y)
         result = reduced.representative
-        checks.append({"name": "class representative is divisorial",
-                       "status": "pass" if mid.is_divisorial(result) else "fail",
-                       "detail": result.text()})
+        check(checks, "class representative is divisorial",
+              mid.is_divisorial(result), result.text())
         results = {"monoid": sgp.text(), "input": y.to_json(), "op": op,
                    "representative": result.to_json(),
                    "invertible": reduced.invertible,
@@ -166,26 +165,19 @@ def _cmd_sgp_ideal(args, checks):
     results = {"monoid": sgp.text(), "input": y.to_json(), "op": op,
                "result": result.to_json(), "result_text": result.text()}
     if op in ("v", "inverse"):
-        checks.append({"name": "result is divisorial",
-                       "status": "pass" if mid.is_divisorial(result) else "fail",
-                       "detail": result.text()})
+        check(checks, "result is divisorial", mid.is_divisorial(result), result.text())
     if op == "v":
-        checks.append({"name": "input unchanged means divisorial",
-                       "status": "pass" if (result == y) == mid.is_divisorial(y)
-                       else "fail",
-                       "detail": f"changed: {result != y}"})
+        check(checks, "input unchanged means divisorial",
+              (result == y) == mid.is_divisorial(y), f"changed: {result != y}")
     if op == "t":
+        name, detail = "t-closure equals v-closure here", "finitely generated input"
         if len(y.min_generators) > mid.MAX_DEFINITIONAL_GENERATORS:
-            status = "skipped"
+            checks.append({"name": name, "status": "skipped", "detail": detail})
         else:
-            status = "pass" if result == mid.t_closure(y, definitional=True) else "fail"
-        checks.append({"name": "t-closure equals v-closure here", "status": status,
-                       "detail": "finitely generated input"})
+            check(checks, name, result == mid.t_closure(y, definitional=True), detail)
     if op in ("sum", "colon", "info"):
         g = result.min_generators[0]
-        checks.append({"name": "first minimal generator is a member",
-                       "status": "pass" if result.contains(g) else "fail",
-                       "detail": str(g)})
+        check(checks, "first minimal generator is a member", result.contains(g), str(g))
     return results
 
 
@@ -195,13 +187,10 @@ def _cmd_sgp_search(args, checks):
     second = mid.search_nonprincipal_t_invertible(sgp, args.bound)
     agree = (first is None and second is None) or \
         (first is not None and second is not None and first == second)
-    checks.append({"name": "search re-run matches",
-                   "status": "pass" if agree else "fail",
-                   "detail": "deterministic"})
+    check(checks, "search re-run matches", agree, "deterministic")
     found = first.to_json() if first is not None else None
-    checks.append({"name": "no non-principal t-invertible ideal found",
-                   "status": "pass" if first is None else "fail",
-                   "detail": f"bound {args.bound}"})
+    check(checks, "no non-principal t-invertible ideal found", first is None,
+          f"bound {args.bound}")
     return {"monoid": sgp.text(), "bound": args.bound, "found": found}
 
 
@@ -217,19 +206,15 @@ def _demo_ex111(args, seed, checks):
 
 def _demo_ex112(args, seed, checks):
     forms = dom.reduced_forms(-20)
-    checks.append({"name": "exactly two reduced forms at discriminant -20",
-                   "status": "pass" if len(forms) == 2 else "fail",
-                   "detail": ", ".join(f.text() for f in forms)})
+    check(checks, "exactly two reduced forms at discriminant -20", len(forms) == 2,
+          ", ".join(f.text() for f in forms))
     nontrivial = [f for f in forms if f != dom.identity_form(-20)]
     square_ok = len(nontrivial) == 1 and \
         dom.compose(nontrivial[0], nontrivial[0]) == dom.identity_form(-20)
-    checks.append({"name": "nontrivial class squares to the identity",
-                   "status": "pass" if square_ok else "fail",
-                   "detail": nontrivial[0].text() if nontrivial else "missing"})
+    check(checks, "nontrivial class squares to the identity", square_ok,
+          nontrivial[0].text() if nontrivial else "missing")
     group = dom.class_group(dom.domain_for_discriminant(-20))
-    checks.append({"name": "group structure",
-                   "status": "pass" if group.structure() == "Z/2Z" else "fail",
-                   "detail": group.structure()})
+    check(checks, "group structure", group.structure() == "Z/2Z", group.structure())
     return {"discriminant": -20, "forms": [f.text() for f in forms],
             "structure": group.structure()}
 
@@ -251,15 +236,11 @@ def _demo_ex217(args, seed, checks):
     bound = args.bound if args.bound is not None else 12
     report = grd.transfer_criterion_report(domain, descriptor, bound)
     for cond in report["conditions"]:
-        checks.append({"name": cond["name"],
-                       "status": "pass" if cond["holds"] else "fail",
-                       "detail": cond["detail"]})
+        check(checks, cond["name"], cond["holds"], cond["detail"])
     if all(cond["holds"] for cond in report["conditions"]):
         expected = dom.describe_class_group(domain)
-        checks.append({"name": "conclusion names the coefficient class group",
-                       "status": "pass" if expected in report["conclusion"]
-                       else "fail",
-                       "detail": report["conclusion"]})
+        check(checks, "conclusion names the coefficient class group",
+              expected in report["conclusion"], report["conclusion"])
     return report
 
 
@@ -269,6 +250,9 @@ def _demo_ex218(args, seed, checks):
     gap_ideal = mid.ideal_from_generators(sgp, list(sgp.generators))
     total = principal = shifted = other = 0
     nondivisorial = []
+    witness = None
+    # one sweep in the order of mid.search_nonprincipal_t_invertible, so the
+    # first non-principal t-invertible ideal met is the search's witness
     for gens in mid.canonical_generator_sets(sgp, bound):
         y = mid.ideal_from_generators(sgp, list(gens))
         total += 1
@@ -276,21 +260,20 @@ def _demo_ex218(args, seed, checks):
             nondivisorial.append(y.text())
         if y.is_principal_shift:
             principal += 1
-        elif y == gap_ideal.shift(y.min - gap_ideal.min):
+            continue
+        if witness is None and mid.is_t_invertible(y):
+            witness = y
+        if y == gap_ideal.shift(y.min - gap_ideal.min):
             shifted += 1
         else:
             other += 1
-    checks.append({"name": "every enumerated ideal is divisorial",
-                   "status": "pass" if not nondivisorial else "fail",
-                   "detail": f"{total} ideals" if not nondivisorial
-                   else f"counterexamples: {nondivisorial[:3]}"})
-    checks.append({"name": "non-principal ideals are shifts of the gap-filling ideal",
-                   "status": "pass" if other == 0 else "fail",
-                   "detail": f"{principal} principal, {shifted} shifted"})
-    witness = mid.search_nonprincipal_t_invertible(sgp, bound)
-    checks.append({"name": "no non-principal t-invertible ideal",
-                   "status": "pass" if witness is None else "fail",
-                   "detail": f"bound {bound}"})
+    check(checks, "every enumerated ideal is divisorial", not nondivisorial,
+          f"{total} ideals" if not nondivisorial
+          else f"counterexamples: {nondivisorial[:3]}")
+    check(checks, "non-principal ideals are shifts of the gap-filling ideal",
+          other == 0, f"{principal} principal, {shifted} shifted")
+    check(checks, "no non-principal t-invertible ideal", witness is None,
+          f"bound {bound}")
     return {"monoid": sgp.text(), "bound": bound, "ideals": total,
             "principal": principal, "shifted": shifted,
             "search": None if witness is None else witness.to_json()}
@@ -329,8 +312,17 @@ def _cmd_suite(args, seed, checks):
                         "failures": r["failures"]} for r in reports]}
 
 
+def _env_seed() -> int:
+    text = os.environ.get(SEED_ENV, "0") or "0"
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV} must be an integer, got {text!r}") from None
+
+
 def run(argv) -> tuple[int, dict]:
-    """Execute one CLI invocation; returns (exit_code, report)."""
+    """Execute one CLI invocation; returns (exit_code, report).  An error goes to
+    ``report["error"]``: exit 2 for bad input, 1 for an ``ExponentCapError``."""
     started = time.monotonic()
     report = {"schema": 1, "command": " ".join(argv)}
     parser = build_parser()
@@ -341,12 +333,12 @@ def run(argv) -> tuple[int, dict]:
             return 0, report
         report["error"] = "usage"
         return 2, report
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV, "0") or "0")
-    report["seed"] = seed
     checks: list = []
     try:
+        seed = getattr(args, "seed", None)
+        if seed is None:
+            seed = _env_seed()
+        report["seed"] = seed
         if args.command == "sgp":
             handler = {"info": _cmd_sgp_info, "ideal": _cmd_sgp_ideal,
                        "search": _cmd_sgp_search}[args.subcommand]
@@ -365,10 +357,10 @@ def run(argv) -> tuple[int, dict]:
         else:
             results = _cmd_suite(args, seed, checks)
             report["inputs"] = {"trials": args.trials, "only": args.only}
-    except ValueError as exc:
+    except (ValueError, ExponentCapError) as exc:
         report["error"] = str(exc)
         report["elapsed"] = time.monotonic() - started
-        return 2, report
+        return 1 if isinstance(exc, ExponentCapError) else 2, report
     report["results"] = results
     report["checks"] = checks
     report["elapsed"] = time.monotonic() - started
@@ -389,10 +381,10 @@ def main(argv=None) -> int:
     code, report = run(sys.argv[1:] if argv is None else argv)
     if "error" in report:
         print(f"error: {report['error']}", file=sys.stderr)
-    for check in report.get("checks", []):
-        mark = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[check["status"]]
-        detail = f" -- {check['detail']}" if check.get("detail") else ""
-        print(f"{mark} {check['name']}{detail}")
+    for item in report.get("checks", []):
+        mark = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[item["status"]]
+        detail = f" -- {item['detail']}" if item.get("detail") else ""
+        print(f"{mark} {item['name']}{detail}")
     results = report.get("results")
     if results is not None:
         print(json.dumps(results, indent=2, sort_keys=True))

@@ -8,7 +8,9 @@ full rank-2 lattice closed under multiplication by w, in upper-triangular
 normal form: a, c > 0, c | a, c | b, 0 <= b < a.  Over Z and Q the ideal has
 rank one: a = c = 1 and b = 0, and the ideal is the principal ideal (scale),
 with scale 1 over Q.  Ideal operations are therefore scale arithmetic over Q
-and Z and lattice arithmetic over quadratic orders.  All arithmetic is exact.
+and Z and lattice arithmetic over quadratic orders.  All arithmetic is exact,
+under the one scalar rule of the package, owned here by ``exact``: an int when
+integral, else a Fraction, never a float; ``divide`` is the one division.
 """
 
 from __future__ import annotations
@@ -18,6 +20,25 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import CapabilityError, MismatchError, ParseError
+
+
+def exact(value) -> int | Fraction:
+    """``value`` as an int when integral, else a Fraction.
+
+    >>> exact(Fraction(6, 3)), exact(0.5)
+    (2, Fraction(1, 2))
+    """
+    if type(value) is int:
+        return value
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def divide(p, q) -> int | Fraction:
+    """The exact scalar p / q of two exact scalars; int / int is never a float."""
+    if type(p) is int and type(q) is int and p % q == 0:
+        return p // q
+    return exact(Fraction(p, q))
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -121,7 +142,7 @@ class CoefficientDomain:
     def element(self, x, y=0) -> "QuadElement":
         if self.kind != "quadratic":
             raise CapabilityError("element(x, y) needs a quadratic order")
-        return QuadElement(self, Fraction(x), Fraction(y))
+        return QuadElement(self, x, y)
 
     def coerce(self, value):
         """Bring a raw value into the quotient field of this domain."""
@@ -130,10 +151,10 @@ class CoefficientDomain:
                 if value.domain != self:
                     raise MismatchError("element belongs to a different order")
                 return value
-            return QuadElement(self, Fraction(value), Fraction(0))
+            return QuadElement(self, value, 0)
         if isinstance(value, QuadElement):
             raise MismatchError("quadratic element in a rational domain")
-        return value if isinstance(value, Fraction) else Fraction(value)
+        return exact(value)
 
     def is_integral_element(self, value) -> bool:
         """Membership of a quotient-field element in the ring itself."""
@@ -154,11 +175,15 @@ class CoefficientDomain:
 
 @dataclass(frozen=True)
 class QuadElement:
-    """x + y*w with rational x, y, in the quotient field of a quadratic order."""
+    """x + y*w with exact rational x, y, in the quotient field of a quadratic order."""
 
     domain: CoefficientDomain
-    x: Fraction
-    y: Fraction
+    x: int | Fraction
+    y: int | Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", exact(self.x))
+        object.__setattr__(self, "y", exact(self.y))
 
     def _lift(self, other) -> "QuadElement":
         return self.domain.coerce(other)
@@ -197,9 +222,9 @@ class QuadElement:
         t = self.domain.omega_trace
         return QuadElement(self.domain, self.x + t * self.y, -self.y)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int | Fraction:
         t, n = self.domain.omega_trace, self.domain.omega_norm
-        return self.x * self.x + t * self.x * self.y + n * self.y * self.y
+        return exact(self.x * self.x + t * self.x * self.y + n * self.y * self.y)
 
     def text(self) -> str:
         if not self.y:
@@ -238,30 +263,23 @@ def _hnf_int(vectors: list[tuple[int, int]]) -> tuple[int, int, int]:
     return a, b % a, c
 
 
-def _hnf_rational(vectors) -> tuple[Fraction, int, int, int]:
-    vs = [(Fraction(x), Fraction(y)) for x, y in vectors if x or y]
-    if not vs:
-        raise ValueError("the zero module is not a fractional ideal")
-    den = 1
-    for x, y in vs:
-        den = lcm(den, x.denominator, y.denominator)
-    a, b, c = _hnf_int([(int(x * den), int(y * den)) for x, y in vs])
+def _hnf_rational(vectors) -> tuple[int | Fraction, int, int, int]:
+    den = lcm(*(v.denominator for xy in vectors for v in xy))
+    a, b, c = _hnf_int([(int(x * den), int(y * den)) for x, y in vectors])
     g = gcd(gcd(a, b), c)
     k = gcd(den, g)
-    return Fraction(k, den), a // k, b // k, c // k
+    return divide(k, den), a // k, b // k, c // k
 
 
-def _in_triple(a: int, b: int, c: int, x: Fraction, y: Fraction) -> bool:
-    k = y / c
-    if k.denominator != 1:
-        return False
-    return ((x - k * b) / a).denominator == 1
+def _in_triple(a: int, b: int, c: int, x, y) -> bool:
+    k = divide(y, c)
+    return k.denominator == 1 and divide(x - k * b, a).denominator == 1
 
 
 def _omega_closed(domain: CoefficientDomain, a: int, b: int, c: int) -> bool:
     t, n = domain.omega_trace, domain.omega_norm
-    return (_in_triple(a, b, c, Fraction(0), Fraction(a))
-            and _in_triple(a, b, c, Fraction(-c * n), Fraction(b + c * t)))
+    return (_in_triple(a, b, c, 0, a)
+            and _in_triple(a, b, c, -c * n, b + c * t))
 
 
 def _dual_basis(b1, b2):
@@ -270,7 +288,7 @@ def _dual_basis(b1, b2):
     det = p * s - q * r
     if not det:
         raise ValueError("degenerate lattice")
-    return (s / det, -r / det), (-q / det, p / det)
+    return (divide(s, det), divide(-r, det)), (divide(-q, det), divide(p, det))
 
 
 @dataclass(frozen=True)
@@ -283,7 +301,7 @@ class CoeffIdeal:
     """
 
     domain: CoefficientDomain
-    scale: Fraction
+    scale: int | Fraction
     a: int = 1
     b: int = 0
     c: int = 1
@@ -292,21 +310,22 @@ class CoeffIdeal:
         if self.domain.kind != "quadratic":
             return [self.scale]
         s = self.scale
-        return [QuadElement(self.domain, s * self.a, Fraction(0)),
+        return [QuadElement(self.domain, s * self.a, 0),
                 QuadElement(self.domain, s * self.b, s * self.c)]
 
     def contains(self, value) -> bool:
         v = self.domain.coerce(value)
         if self.domain.kind != "quadratic":
-            return self.domain.is_integral_element(v / self.scale)
+            return self.domain.is_integral_element(divide(v, self.scale))
         if not v:
             return True
-        return _in_triple(self.a, self.b, self.c, v.x / self.scale, v.y / self.scale)
+        return _in_triple(self.a, self.b, self.c,
+                          divide(v.x, self.scale), divide(v.y, self.scale))
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int | Fraction:
         if self.domain.kind != "quadratic":
             return self.scale
-        return self.scale * self.scale * self.a * self.c
+        return exact(self.scale * self.scale * self.a * self.c)
 
     def text(self) -> str:
         if self.domain.kind != "quadratic":
@@ -320,21 +339,16 @@ class CoeffIdeal:
 
 
 def unit_ideal(domain: CoefficientDomain) -> CoeffIdeal:
-    return CoeffIdeal(domain, Fraction(1))
+    return CoeffIdeal(domain, 1)
 
 
-def _rational(domain: CoefficientDomain, values: list[Fraction]) -> CoeffIdeal:
+def _rational(domain: CoefficientDomain, values: list) -> CoeffIdeal:
     """The rank-one ideal generated by nonzero rationals: (1) over Q, their
     positive gcd over Z."""
     if domain.kind == "Q":
         return unit_ideal(domain)
-    den = 1
-    for v in values:
-        den = lcm(den, v.denominator)
-    num = 0
-    for v in values:
-        num = gcd(num, v.numerator * (den // v.denominator))
-    return CoeffIdeal(domain, Fraction(num, den))
+    den = lcm(*(v.denominator for v in values))
+    return CoeffIdeal(domain, divide(gcd(*(int(v * den) for v in values)), den))
 
 
 def _lattice(domain: CoefficientDomain, elements) -> CoeffIdeal:
@@ -365,7 +379,7 @@ def _require_same_domain(i: CoeffIdeal, j: CoeffIdeal) -> CoefficientDomain:
 def mul(i: CoeffIdeal, j: CoeffIdeal) -> CoeffIdeal:
     domain = _require_same_domain(i, j)
     if domain.kind != "quadratic":
-        return CoeffIdeal(domain, i.scale * j.scale)
+        return CoeffIdeal(domain, exact(i.scale * j.scale))
     return _lattice(domain, [e * f for e in i.basis_elements()
                              for f in j.basis_elements()])
 
@@ -385,16 +399,16 @@ def colon(i: CoeffIdeal, j: CoeffIdeal) -> CoeffIdeal:
     """
     domain = _require_same_domain(i, j)
     if domain.kind != "quadratic":
-        return CoeffIdeal(domain, i.scale / j.scale)
+        return CoeffIdeal(domain, divide(i.scale, j.scale))
     basis = i.basis_elements()
     duals = []
     for beta in j.basis_elements():
         conj, n = beta.conjugate(), beta.norm()
-        beta_inv = QuadElement(domain, conj.x / n, conj.y / n)
+        beta_inv = QuadElement(domain, divide(conj.x, n), divide(conj.y, n))
         p, q = (e * beta_inv for e in basis)
         duals.extend(_dual_basis((p.x, p.y), (q.x, q.y)))
     scale, a, b, c = _hnf_rational(duals)
-    meet = _dual_basis((scale * a, Fraction(0)), (scale * b, scale * c))
+    meet = _dual_basis((scale * a, 0), (scale * b, scale * c))
     return _lattice(domain, [QuadElement(domain, x, y) for x, y in meet])
 
 
@@ -445,7 +459,7 @@ def is_principal(i: CoeffIdeal):
             xx = num // 2
             if (xx - v * b) % a:
                 continue
-            return domain.element(Fraction(xx) * i.scale, Fraction(yy) * i.scale)
+            return domain.element(xx * i.scale, yy * i.scale)
     return None
 
 
@@ -591,9 +605,6 @@ class ClassGroup:
     @property
     def identity_index(self) -> int:
         return self.forms.index(identity_form(self.domain.discriminant))
-
-    def index_of(self, form: QuadForm) -> int:
-        return self.forms.index(form.reduced())
 
     def element_order(self, index: int) -> int:
         e = self.identity_index

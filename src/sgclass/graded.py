@@ -2,16 +2,16 @@
 
 Elements are finite sums b*X^g with coefficients in the quotient field of the
 coefficient domain and integer exponents (the grading group is Z, so negative
-exponents are legal).  A homogeneous ideal is given by homogeneous generators;
-the key fact exercised here is that membership, colon, closures, and class
-decomposition all reduce to a coefficient-ideal component and a monoid-ideal
-component that can be handled independently.
+exponents are legal); coefficients are exact scalars (``domains.exact``).  A
+homogeneous ideal is given by homogeneous generators; the key fact exercised
+here is that membership, colon, closures, and class decomposition all reduce
+to a coefficient-ideal component and a monoid-ideal component that can be
+handled independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import domains as dom
 from . import ideals as mid
@@ -111,7 +111,7 @@ def graded_element(domain: CoefficientDomain, monoid: NumericalSemigroup,
     acc: dict[int, object] = {}
     for g, b in terms:
         g, coeff = int(g), domain.coerce(b)
-        acc[g] = acc[g] + coeff if g in acc else coeff
+        acc[g] = domain.coerce(acc[g] + coeff) if g in acc else coeff
     return GradedElement(domain, monoid, tuple(sorted(
         ((g, b) for g, b in acc.items() if b), key=lambda t: t[0])))
 
@@ -224,8 +224,8 @@ class _Parser:
             if den == 0:
                 self.error("zero denominator")
             return graded_element(self.domain, self.monoid,
-                                  [(0, Fraction(num, den))])
-        return graded_element(self.domain, self.monoid, [(0, Fraction(num))])
+                                  [(0, dom.divide(num, den))])
+        return graded_element(self.domain, self.monoid, [(0, num)])
 
 
 def parse_element(domain: CoefficientDomain, monoid: NumericalSemigroup,

@@ -4,9 +4,10 @@ while the ring itself is not integrally closed in degree zero.
 The ambient ring is Q[x, 1/x, y, z] / (yz - x^2 + x).  Normal forms keep
 monomials x^a y^b z^c with b*c = 0 (the relation rewrites yz to x^2 - x);
 x-exponents may be negative because one of the six standard generators divides
-by x.  Coefficients are exact: an int when integral, else a Fraction.  The
-distinguished subring has full graded parts in every nonzero degree but only
-Q + x(x-1)Q[x] in degree zero, which is what the membership test enforces.
+by x.  Coefficients are exact scalars (``domains.exact``): an int when
+integral, else a Fraction.  The distinguished subring has full graded parts in
+every nonzero degree but only Q + x(x-1)Q[x] in degree zero, which is what the
+membership test enforces.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+
+from .domains import exact
 
 
 @dataclass(frozen=True)
@@ -77,14 +80,6 @@ class QuadricElement:
         return "".join(parts).removeprefix("+") or "0"
 
 
-def _exact(coeff) -> int | Fraction:
-    """An exact coefficient: an int when integral, else a Fraction."""
-    if isinstance(coeff, int):
-        return coeff
-    q = Fraction(coeff)
-    return q.numerator if q.denominator == 1 else q
-
-
 def _accumulate(acc: dict, a: int, b: int, c: int, coeff):
     m = min(b, c)
     if m == 0:
@@ -101,7 +96,7 @@ def from_terms(entries) -> QuadricElement:
     """The normal form of a sum of ((a, b, c), coeff) entries: each y^m z^m is
     rewritten to (x^2 - x)^m and equal monomials are summed.
 
-    >>> yz = from_terms([((0, 1, 1), Fraction(1))])
+    >>> yz = from_terms([((0, 1, 1), 1.0)])
     >>> yz.terms
     (((1, 0, 0), -1), ((2, 0, 0), 1))
     >>> yz.text()
@@ -109,8 +104,8 @@ def from_terms(entries) -> QuadricElement:
     """
     acc: dict[tuple[int, int, int], int | Fraction] = {}
     for (a, b, c), coeff in entries:
-        _accumulate(acc, a, b, c, _exact(coeff))
-    return QuadricElement(tuple(sorted((m, _exact(k)) for m, k in acc.items() if k)))
+        _accumulate(acc, a, b, c, exact(coeff))
+    return QuadricElement(tuple(sorted((m, exact(k)) for m, k in acc.items() if k)))
 
 
 def one() -> QuadricElement:

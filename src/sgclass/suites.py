@@ -21,7 +21,7 @@ from . import quadric as qdr
 from .semigroups import NumericalSemigroup, from_generators
 
 
-def _check(checks: list, name: str, ok: bool, detail: str = ""):
+def check(checks: list, name: str, ok: bool, detail: str = ""):
     checks.append({"name": name, "status": "pass" if ok else "fail",
                    "detail": detail})
 
@@ -113,8 +113,8 @@ def suite_semigroup_oracle(seed: int = 0, trials: int = 500) -> dict:
         mismatch = [g for g in _window(result) if result.contains(g) != oracle(g)]
         if mismatch:
             bad += 1
-            _check(checks, f"trial {t} {op} over {sgp.text()}", False,
-                   f"gens {ygens}/{zgens}, first mismatch at {mismatch[0]}")
+            check(checks, f"trial {t} {op} over {sgp.text()}", False,
+                  f"gens {ygens}/{zgens}, first mismatch at {mismatch[0]}")
             continue
         # closure-operator laws on every trial
         v = mid.v_closure(y)
@@ -125,10 +125,10 @@ def suite_semigroup_oracle(seed: int = 0, trials: int = 500) -> dict:
         monotone = all(vb.contains(g) for g in _window(v) if v.contains(g))
         if not (extensive and idempotent and monotone):
             bad += 1
-            _check(checks, f"trial {t} closure laws over {sgp.text()}", False,
-                   f"gens {ygens}: ext={extensive} idem={idempotent} mono={monotone}")
-    _check(checks, "oracle agreement and closure laws", bad == 0,
-           f"{trials - bad}/{trials} trials clean")
+            check(checks, f"trial {t} closure laws over {sgp.text()}", False,
+                  f"gens {ygens}: ext={extensive} idem={idempotent} mono={monotone}")
+    check(checks, "oracle agreement and closure laws", bad == 0,
+          f"{trials - bad}/{trials} trials clean")
     return _report("oracle", trials, checks)
 
 
@@ -156,10 +156,10 @@ def suite_closure_identities(seed: int = 0, trials: int = 200) -> dict:
         ok = ok and mid.colon(y, unit) == y
         if not ok:
             bad += 1
-            _check(checks, f"trial {t} closure identities", False,
-                   f"{sgp.text()} gens {y.min_generators}/{z.min_generators}")
-    _check(checks, "shift equivariance, inverse divisoriality, t=v, colon law",
-           bad == 0, f"{trials - bad}/{trials} trials clean")
+            check(checks, f"trial {t} closure identities", False,
+                  f"{sgp.text()} gens {y.min_generators}/{z.min_generators}")
+    check(checks, "shift equivariance, inverse divisoriality, t=v, colon law",
+          bad == 0, f"{trials - bad}/{trials} trials clean")
     return _report("closure", trials, checks)
 
 
@@ -257,11 +257,11 @@ def suite_pair_identities(seed: int = 0, trials: int = 200,
             detail = f"{domain.text()}, {sgp.text()}"
             if failed:
                 detail += f", probe {failed}"
-            _check(checks, f"trial {t} split-pair identity", False, detail)
-    _check(checks, "colon membership semantics and closure consistency",
-           bad == 0,
-           f"{trials - bad}/{trials} trials clean, {total_probes} probes, "
-           f"no trial under {least}")
+            check(checks, f"trial {t} split-pair identity", False, detail)
+    check(checks, "colon membership semantics and closure consistency",
+          bad == 0,
+          f"{trials - bad}/{trials} trials clean, {total_probes} probes, "
+          f"no trial under {least}")
     report = _report("lemma23", trials, checks)
     report["min_probes"] = least or 0
     return report
@@ -337,21 +337,21 @@ def suite_content(seed: int = 0, trials: int = 200) -> dict:
             y = _random_poly(rng, domain, sgp)
             if grd.dedekind_mertens_exponent(x, y) != 0 or not grd.gauss_check(x, y):
                 bad += 1
-        _check(checks, f"content multiplies exactly over {label}", bad == 0,
-               f"{trials - bad}/{trials} pairs with exponent 0")
+        check(checks, f"content multiplies exactly over {label}", bad == 0,
+              f"{trials - bad}/{trials} pairs with exponent 0")
     found = northcott_search()
-    _check(checks, "small-pair search finds a nonzero content exponent",
-           found is not None and found["exponent"] >= 1,
-           "" if found is None else
-           f"x={found['x']}, y={found['y']}, exponent {found['exponent']} "
-           f"after {found['examined']} pairs")
+    check(checks, "small-pair search finds a nonzero content exponent",
+          found is not None and found["exponent"] >= 1,
+          "" if found is None else
+          f"x={found['x']}, y={found['y']}, exponent {found['exponent']} "
+          f"after {found['examined']} pairs")
     # frozen fixture
     d3 = dom.CoefficientDomain.z_sqrt(-3)
     fx = grd.graded_element(d3, sgp, [(0, d3.element(1, 1)), (1, d3.element(1, -1))])
     fy = grd.graded_element(d3, sgp, [(0, d3.element(1, -1)), (1, d3.element(1, 1))])
-    _check(checks, "frozen fixture keeps exponent 1",
-           grd.dedekind_mertens_exponent(fx, fy) == 1 and not grd.gauss_check(fx, fy),
-           f"x={fx.text()}, y={fy.text()}")
+    check(checks, "frozen fixture keeps exponent 1",
+          grd.dedekind_mertens_exponent(fx, fy) == 1 and not grd.gauss_check(fx, fy),
+          f"x={fx.text()}, y={fy.text()}")
     # subadditivity: C(xy) inside C(x)C(y) on sampled quadratic pairs
     bad = 0
     for _ in range(60):
@@ -360,8 +360,8 @@ def suite_content(seed: int = 0, trials: int = 200) -> dict:
         product = dom.mul(grd.content(x), grd.content(y))
         if not all(product.contains(b) for b in grd.content(x * y).basis_elements()):
             bad += 1
-    _check(checks, "content subadditivity over the non-maximal order", bad == 0,
-           f"{60 - bad}/60 pairs")
+    check(checks, "content subadditivity over the non-maximal order", bad == 0,
+          f"{60 - bad}/60 pairs")
     return _report("northcott", trials, checks)
 
 
@@ -391,10 +391,10 @@ def suite_decomposition(seed: int = 0, trials: int = 100) -> dict:
         ok = ok and grd.decompose_class(pair) == lifted
         if not ok:
             bad += 1
-            _check(checks, f"trial {t} decomposition laws", False,
-                   f"{domain.text()} ideal {j.text()}")
-    _check(checks, "lift triviality = principality; lift and decomposition agree",
-           bad == 0, f"{trials - bad}/{trials} trials clean")
+            check(checks, f"trial {t} decomposition laws", False,
+                  f"{domain.text()} ideal {j.text()}")
+    check(checks, "lift triviality = principality; lift and decomposition agree",
+          bad == 0, f"{trials - bad}/{trials} trials clean")
     # the order-2 witness
     d5 = dom.CoefficientDomain.z_sqrt(-5)
     j = dom.ideal_from_generators(d5, [2, d5.element(1, 1)])
@@ -403,8 +403,8 @@ def suite_decomposition(seed: int = 0, trials: int = 100) -> dict:
                   and dom.compose(cls.coeff_form, cls.coeff_form)
                   == dom.identity_form(-20)
                   and not grd.homogeneous_class_is_trivial(cls))
-    _check(checks, "order-2 coefficient class detected", witness_ok,
-           "class of the norm-2 prime squares to the identity")
+    check(checks, "order-2 coefficient class detected", witness_ok,
+          "class of the norm-2 prime squares to the identity")
     return _report("decomposition", trials, checks)
 
 
@@ -440,8 +440,8 @@ def suite_quadric(seed: int = 0, trials: int = 500) -> dict:
         u, v, w = (_random_quadric(rng) for _ in range(3))
         if (u * v) * w != u * (v * w) or u * (v + w) != u * v + u * w:
             bad += 1
-    _check(checks, "rewrite confluence: association and distribution", bad == 0,
-           f"{trials - bad}/{trials} triples clean")
+    check(checks, "rewrite confluence: association and distribution", bad == 0,
+          f"{trials - bad}/{trials} triples clean")
     bad = 0
     for _ in range(200):
         u, v = _random_subring_member(rng), _random_subring_member(rng)
@@ -450,8 +450,8 @@ def suite_quadric(seed: int = 0, trials: int = 500) -> dict:
             continue
         if not qdr.in_subring(u * v) or not qdr.in_subring(u + v):
             bad += 1
-    _check(checks, "subring closed under products and sums", bad == 0,
-           f"{200 - bad}/200 pairs clean")
+    check(checks, "subring closed under products and sums", bad == 0,
+          f"{200 - bad}/200 pairs clean")
     bad = 0
     for _ in range(100):
         u, v = _random_quadric(rng), _random_quadric(rng)
@@ -460,11 +460,11 @@ def suite_quadric(seed: int = 0, trials: int = 500) -> dict:
         allowed = {a + b for a in du for b in dv}
         if not set((u * v).graded_components()) <= allowed:
             bad += 1
-    _check(checks, "product degrees are sums of factor degrees", bad == 0,
-           f"{100 - bad}/100 pairs clean")
+    check(checks, "product degrees are sums of factor degrees", bad == 0,
+          f"{100 - bad}/100 pairs clean")
     report = qdr.verify_unit_identity()
-    _check(checks, "unit identity and the nine products",
-           report["ok"], f"identity normal form: {report['identity_value']}")
+    check(checks, "unit identity and the nine products",
+          report["ok"], f"identity normal form: {report['identity_value']}")
     return _report("quadric", trials, checks)
 
 
@@ -493,10 +493,10 @@ def suite_domains(seed: int = 0, trials: int = 120) -> dict:
         ok = ok and not i.contains(inside + Fraction(1, 2) * b1)
         if not ok:
             bad += 1
-            _check(checks, f"trial {t} ideal arithmetic at discriminant {disc}",
-                   False, f"{i.text()} / {j.text()}")
-    _check(checks, "norms multiply, inverses invert, membership matches basis",
-           bad == 0, f"{trials - bad}/{trials} trials clean")
+            check(checks, f"trial {t} ideal arithmetic at discriminant {disc}",
+                  False, f"{i.text()} / {j.text()}")
+    check(checks, "norms multiply, inverses invert, membership matches basis",
+          bad == 0, f"{trials - bad}/{trials} trials clean")
     bad = pairs = disagree = 0
     for disc in _DISC_POOL:
         domain = dom.domain_for_discriminant(disc)
@@ -516,16 +516,16 @@ def suite_domains(seed: int = 0, trials: int = 120) -> dict:
             inv_found = any(group.table[a][b] == e for b in range(group.order))
             if not inv_found or group.table[a][e] != a:
                 bad += 1
-    _check(checks, "form/ideal round trip and group table laws", bad == 0,
-           f"discriminants {list(_DISC_POOL)}")
-    _check(checks, "composition agrees with the ideal product", disagree == 0,
-           f"{pairs - disagree}/{pairs} form pairs agree")
+    check(checks, "form/ideal round trip and group table laws", bad == 0,
+          f"discriminants {list(_DISC_POOL)}")
+    check(checks, "composition agrees with the ideal product", disagree == 0,
+          f"{pairs - disagree}/{pairs} form pairs agree")
     structures = {disc: dom.class_group(dom.domain_for_discriminant(disc)).structure()
                   for disc in _DISC_POOL}
     expected = {-4: "trivial", -20: "Z/2Z", -23: "Z/3Z", -24: "Z/2Z",
                 -84: "abelian of order 4 with exponent 2"}
-    _check(checks, "class group structures", structures == expected,
-           str(structures))
+    check(checks, "class group structures", structures == expected,
+          str(structures))
     return _report("domains", trials, checks)
 
 

@@ -1,12 +1,18 @@
 """Exit codes, report schema, and determinism of the command line front end."""
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgclass import cli, suites
+from sgclass import graded as grd
 from sgclass import ideals as mid
+from sgclass.errors import ExponentCapError
+from sgclass.semigroups import from_generators
 
 REPORT_KEYS = {"schema", "command", "inputs", "results", "checks", "seed",
                "elapsed"}
@@ -282,3 +288,94 @@ def test_main_prints_errors_to_stderr(capsys):
     code = cli.main(["sgp", "info", "--sgp", "2,x"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_ex218_search_is_the_witness_of_the_sweep(monkeypatch):
+    sgp = from_generators([3, 5])
+    nonprincipal = [y for y in (mid.ideal_from_generators(sgp, gens)
+                                for gens in mid.canonical_generator_sets(sgp, 10))
+                    if not mid.is_principal(y)]
+    chosen = nonprincipal[len(nonprincipal) // 2]
+    real = mid.is_t_invertible
+    monkeypatch.setattr(mid, "is_t_invertible", lambda y: y == chosen or real(y))
+    witness = mid.search_nonprincipal_t_invertible(sgp, 10)
+    assert witness == chosen
+    code, report = cli.run(["demo", "ex218", "--sgp", "3,5", "--bound", "10"])
+    assert code == 1
+    assert report["results"]["search"] == witness.to_json()
+    assert report["results"]["search"]["invertible"] is True
+
+
+def test_bad_seed_in_the_environment_exits_two(monkeypatch):
+    monkeypatch.setenv(cli.SEED_ENV, "abc")
+    code, report = cli.run(["demo", "ex111"])
+    assert code == 2
+    assert cli.SEED_ENV in report["error"]
+    assert "results" not in report
+
+
+def test_exponent_cap_error_exits_one(monkeypatch):
+    def past_the_cap(x, y):
+        raise ExponentCapError("no exponent up to 1 balances the contents")
+    monkeypatch.setattr(grd, "dedekind_mertens_exponent", past_the_cap)
+    code, report = cli.run(["demo", "northcott", "--trials", "1"])
+    assert code == 1
+    assert report["error"] == "no exponent up to 1 balances the contents"
+    assert "results" not in report
+
+
+def _int_list(low, high):
+    return st.lists(st.integers(low, high), min_size=1, max_size=6).map(
+        lambda xs: ",".join(map(str, xs)))
+
+
+_JUNK = st.sampled_from(["", "x", "2,x", "3,,5", "--", "1/2", " ", "0"])
+_SGP = st.sampled_from(["2,3", "3,5", "4,6,9", "1", "p^inf:2", "p^inf:6"]) \
+    | _int_list(-2, 12) | _JUNK
+_GENS = _int_list(-10, 20) | _JUNK
+_DOMAIN = st.sampled_from(["Q", "Z", "Z[sqrt(-5)]", "Z[sqrt(-3)]", "O[sqrt(-23)]",
+                           "O[sqrt(-27)]", "Z[sqrt(5)]", "O[sqrt(x)]", "ring", ""])
+_SEED = st.sampled_from(["0", "5", "-2", "x", ""])
+
+
+@st.composite
+def _argvs(draw):
+    """A bounded argv grammar: every command and op, small or junk values."""
+    command = draw(st.sampled_from(["info", "ideal", "search", "demo", "suite"]))
+    if command == "demo":
+        name = draw(st.sampled_from(sorted(cli.DEMOS)))
+        argv, reads = ["demo", name], cli.DEMOS[name][1]
+        values = {"sgp": _SGP, "domain": _DOMAIN, "bound": st.integers(0, 10).map(str),
+                  "trials": st.integers(1, 3).map(str)}
+        for key in cli.DEMO_OVERRIDES:
+            # a bound or trial count the demo reads is always small
+            forced = key in reads and key in ("bound", "trials")
+            if forced or draw(st.booleans()):
+                argv += [f"--{key}", draw(values[key])]
+    elif command == "suite":
+        argv = ["suite", "--trials", str(draw(st.integers(1, 3)))]
+        if draw(st.booleans()):
+            argv += ["--only", draw(st.sampled_from(sorted(suites.SUITES)))]
+    else:
+        argv = ["sgp", command, "--sgp", draw(_SGP)]
+        if command == "ideal":
+            argv += ["--gens", draw(_GENS), "--op",
+                     draw(st.sampled_from(["info", "sum", "colon", "inverse", "v",
+                                           "t", "class", "bogus"]))]
+            if draw(st.booleans()):
+                argv += ["--gens2", draw(_GENS)]
+        if command == "search":
+            argv += ["--bound", str(draw(st.integers(0, 10)))]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(_SEED)]
+    return argv
+
+
+@given(_argvs())
+@settings(deadline=None, max_examples=80)
+def test_cli_run_exits_cleanly_on_any_argv(argv):
+    with contextlib.redirect_stderr(io.StringIO()):
+        code, report = cli.run(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error" in report

@@ -365,3 +365,57 @@ def test_parse_domain():
         dom.parse_domain("Z[sqrt(7)]")
     with pytest.raises(ParseError):
         dom.parse_domain("fields of fractions")
+
+
+def _assert_exact_scalars(value):
+    """Every scalar inside value is an int when integral, else a Fraction."""
+    if isinstance(value, dom.QuadElement):
+        parts = (value.x, value.y)
+    elif isinstance(value, dom.CoeffIdeal):
+        parts = (value.scale,)
+    else:
+        parts = (value,)
+    for p in parts:
+        assert type(p) in (int, Fraction), repr(p)
+        assert type(p) is (int if p.denominator == 1 else Fraction), repr(p)
+
+
+def test_scalars_are_exact_and_never_float():
+    rng = random.Random(17)
+
+    def scalar():
+        # integers, true fractions, integral Fractions and floats all come in
+        return rng.choice((rng.randint(-6, 6), Fraction(rng.randint(-6, 6), 2),
+                           Fraction(rng.randint(-6, 6), rng.choice((1, 3))),
+                           rng.randint(-12, 12) / 4))
+
+    def value(domain):
+        if domain.kind != "quadratic" or rng.random() < 0.2:
+            return scalar()
+        return domain.element(scalar(), scalar())
+
+    def ideal(domain):
+        while True:
+            gens = [value(domain) for _ in range(rng.randint(1, 3))]
+            if any(gens):
+                return dom.ideal_from_generators(domain, gens)
+
+    for domain in (Q, Z, D3, D5, O23):
+        for _ in range(25):
+            i, j = ideal(domain), ideal(domain)
+            results = [i, j, dom.mul(i, j), dom.add(i, j), dom.colon(i, j),
+                       dom.inverse(i), dom.v_closure(j), i.norm(), domain.coerce(scalar())]
+            results += i.basis_elements() + dom.colon(j, i).basis_elements()
+            generator = dom.is_principal(i)
+            if generator is not None:
+                results.append(generator)
+            assert isinstance(i.contains(value(domain)), bool)
+            assert i.contains(i.basis_elements()[0])
+            if domain.kind == "quadratic":
+                u, v = domain.element(scalar(), scalar()), value(domain)
+                results += [u + v, u - v, u * v, v - u, u * 0.5, 0.25 + u, 1.5 - u,
+                            u.conjugate(), u.norm(), (u * v).norm()]
+            for r in results:
+                _assert_exact_scalars(r)
+    assert Z.coerce(0.5) == Fraction(1, 2) and type(Z.coerce(4.0)) is int
+    assert type(D5.element(Fraction(6, 3), 1.0).x) is int

@@ -141,7 +141,9 @@ def test_arithmetic_keeps_coefficients_exact():
             for z in (x + y, x - y, x * y, -x, x * 0.5, 0.5 - y):
                 for b in z.coefficients:
                     parts = (b.x, b.y) if domain is D5 else (b,)
-                    assert all(type(p) is Fraction for p in parts)
+                    # int when integral, else Fraction; 0.5 must never leave a float
+                    assert all(type(p) is (int if p.denominator == 1 else Fraction)
+                               for p in parts)
 
 
 def test_negative_exponents_model_the_group_ring():
