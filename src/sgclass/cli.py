@@ -4,6 +4,7 @@ demos, and the property suites, all with seeded deterministic JSON reports."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -49,7 +50,13 @@ def _attach_negative_lists(argv) -> list[str]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every run.
+
+    Each leaf parser names its handler, called as ``handler(args, seed,
+    checks)``, and the options its report echoes under ``inputs``.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help=f"root seed (default: ${SEED_ENV} or 0)")
@@ -66,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     info = sgp_sub.add_parser("info", parents=[common],
                               help="gaps, conductor, Apery set")
     info.add_argument("--sgp", required=True, help="monoid, e.g. 2,3 or p^inf:2")
+    info.set_defaults(handler=_cmd_sgp_info, inputs=("sgp",))
     ideal = sgp_sub.add_parser("ideal", parents=[common],
                                help="fractional ideal arithmetic")
     ideal.add_argument("--sgp", required=True)
@@ -75,10 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     ideal.add_argument("--op", default="info",
                        choices=("info", "sum", "colon", "inverse", "v", "t",
                                 "class"))
+    ideal.set_defaults(handler=_cmd_sgp_ideal, inputs=("sgp",))
     search = sgp_sub.add_parser("search", parents=[common],
                                 help="sweep for a non-principal t-invertible ideal")
     search.add_argument("--sgp", required=True)
     search.add_argument("--bound", type=_int_at_least(0), default=12)
+    search.set_defaults(handler=_cmd_sgp_search, inputs=("sgp",))
 
     demo = sub.add_parser("demo", parents=[common],
                           help="worked examples as named scenarios")
@@ -87,12 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--domain", help="coefficient domain override")
     demo.add_argument("--bound", type=_int_at_least(0), default=None)
     demo.add_argument("--trials", type=_int_at_least(1), default=None)
+    demo.set_defaults(handler=_cmd_demo, inputs=("name", *DEMO_OVERRIDES))
 
     suite = sub.add_parser("suite", parents=[common],
                            help="randomized property suites")
     suite.add_argument("--trials", type=_int_at_least(1), default=None)
     suite.add_argument("--only", choices=sorted(suites.SUITES),
                        help="run a single suite")
+    suite.set_defaults(handler=_cmd_suite, inputs=("trials", "only"))
     return parser
 
 
@@ -103,7 +115,7 @@ def _numerical(text: str):
 
 # --- sgp ---------------------------------------------------------------------
 
-def _cmd_sgp_info(args, checks):
+def _cmd_sgp_info(args, seed, checks):
     descriptor = parse_monoid(args.sgp)
     results = {"monoid": descriptor.text(), "kind": descriptor.kind,
                "integrally_closed": descriptor.is_integrally_closed()}
@@ -132,7 +144,7 @@ def _cmd_sgp_info(args, checks):
     return results
 
 
-def _cmd_sgp_ideal(args, checks):
+def _cmd_sgp_ideal(args, seed, checks):
     sgp = _numerical(args.sgp)
     y = mid.ideal_from_generators(sgp, parse_int_list(args.gens))
     op = args.op
@@ -157,41 +169,30 @@ def _cmd_sgp_ideal(args, checks):
         result = reduced.representative
         check(checks, "class representative is divisorial",
               mid.is_divisorial(result), result.text())
-        results = {"monoid": sgp.text(), "input": y.to_json(), "op": op,
-                   "representative": result.to_json(),
-                   "invertible": reduced.invertible,
-                   "trivial": mid.class_is_trivial(reduced)}
-        return results
+        return {"monoid": sgp.text(), "input": y.to_json(), "op": op,
+                "representative": result.to_json(),
+                "invertible": reduced.invertible,
+                "trivial": mid.class_is_trivial(reduced)}
     results = {"monoid": sgp.text(), "input": y.to_json(), "op": op,
                "result": result.to_json(), "result_text": result.text()}
     if op in ("v", "inverse"):
         check(checks, "result is divisorial", mid.is_divisorial(result), result.text())
-    if op == "v":
-        check(checks, "input unchanged means divisorial",
-              (result == y) == mid.is_divisorial(y), f"changed: {result != y}")
     if op == "t":
         name, detail = "t-closure equals v-closure here", "finitely generated input"
         if len(y.min_generators) > mid.MAX_DEFINITIONAL_GENERATORS:
             checks.append({"name": name, "status": "skipped", "detail": detail})
         else:
             check(checks, name, result == mid.t_closure(y, definitional=True), detail)
-    if op in ("sum", "colon", "info"):
-        g = result.min_generators[0]
-        check(checks, "first minimal generator is a member", result.contains(g), str(g))
     return results
 
 
-def _cmd_sgp_search(args, checks):
+def _cmd_sgp_search(args, seed, checks):
     sgp = _numerical(args.sgp)
-    first = mid.search_nonprincipal_t_invertible(sgp, args.bound)
-    second = mid.search_nonprincipal_t_invertible(sgp, args.bound)
-    agree = (first is None and second is None) or \
-        (first is not None and second is not None and first == second)
-    check(checks, "search re-run matches", agree, "deterministic")
-    found = first.to_json() if first is not None else None
-    check(checks, "no non-principal t-invertible ideal found", first is None,
+    found = mid.search_nonprincipal_t_invertible(sgp, args.bound)
+    check(checks, "no non-principal t-invertible ideal found", found is None,
           f"bound {args.bound}")
-    return {"monoid": sgp.text(), "bound": args.bound, "found": found}
+    return {"monoid": sgp.text(), "bound": args.bound,
+            "found": None if found is None else found.to_json()}
 
 
 # --- demos -------------------------------------------------------------------
@@ -237,10 +238,6 @@ def _demo_ex217(args, seed, checks):
     report = grd.transfer_criterion_report(domain, descriptor, bound)
     for cond in report["conditions"]:
         check(checks, cond["name"], cond["holds"], cond["detail"])
-    if all(cond["holds"] for cond in report["conditions"]):
-        expected = dom.describe_class_group(domain)
-        check(checks, "conclusion names the coefficient class group",
-              expected in report["conclusion"], report["conclusion"])
     return report
 
 
@@ -258,7 +255,7 @@ def _demo_ex218(args, seed, checks):
         total += 1
         if not mid.is_divisorial(y):
             nondivisorial.append(y.text())
-        if y.is_principal_shift:
+        if mid.is_principal(y):
             principal += 1
             continue
         if witness is None and mid.is_t_invertible(y):
@@ -302,6 +299,15 @@ DEMOS = {
 }
 
 
+def _cmd_demo(args, seed, checks):
+    demo, reads = DEMOS[args.name]
+    ignored = [f"--{key}" for key in DEMO_OVERRIDES
+               if getattr(args, key) is not None and key not in reads]
+    if ignored:
+        raise ValueError(f"demo {args.name} does not take {', '.join(ignored)}")
+    return demo(args, seed, checks)
+
+
 def _cmd_suite(args, seed, checks):
     reports = suites.run_suites(seed, args.trials, args.only)
     for rep in reports:
@@ -325,9 +331,8 @@ def run(argv) -> tuple[int, dict]:
     ``report["error"]``: exit 2 for bad input, 1 for an ``ExponentCapError``."""
     started = time.monotonic()
     report = {"schema": 1, "command": " ".join(argv)}
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_negative_lists(argv))
+        args = build_parser().parse_args(_attach_negative_lists(argv))
     except SystemExit as exc:
         if not exc.code:
             return 0, report
@@ -335,28 +340,10 @@ def run(argv) -> tuple[int, dict]:
         return 2, report
     checks: list = []
     try:
-        seed = getattr(args, "seed", None)
-        if seed is None:
-            seed = _env_seed()
+        seed = args.seed if "seed" in args else _env_seed()
         report["seed"] = seed
-        if args.command == "sgp":
-            handler = {"info": _cmd_sgp_info, "ideal": _cmd_sgp_ideal,
-                       "search": _cmd_sgp_search}[args.subcommand]
-            results = handler(args, checks)
-            report["inputs"] = {"sgp": args.sgp}
-        elif args.command == "demo":
-            handler, reads = DEMOS[args.name]
-            ignored = [f"--{key}" for key in DEMO_OVERRIDES
-                       if getattr(args, key) is not None and key not in reads]
-            if ignored:
-                raise ValueError(f"demo {args.name} does not take {', '.join(ignored)}")
-            results = handler(args, seed, checks)
-            report["inputs"] = {"name": args.name, "sgp": args.sgp,
-                                "domain": args.domain, "bound": args.bound,
-                                "trials": args.trials}
-        else:
-            results = _cmd_suite(args, seed, checks)
-            report["inputs"] = {"trials": args.trials, "only": args.only}
+        results = args.handler(args, seed, checks)
+        report["inputs"] = {key: getattr(args, key) for key in args.inputs}
     except (ValueError, ExponentCapError) as exc:
         report["error"] = str(exc)
         report["elapsed"] = time.monotonic() - started

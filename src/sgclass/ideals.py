@@ -52,10 +52,6 @@ class FractionalIdeal:
             min_generators=tuple(m + offset for m in self.min_generators),
         )
 
-    @property
-    def is_principal_shift(self) -> bool:
-        return len(self.min_generators) == 1
-
     def text(self) -> str:
         gens = ",".join(str(m) for m in self.min_generators)
         return f"gens={gens}@sgp={self.monoid.text()}"

@@ -10,6 +10,7 @@ sampling.
 
 from __future__ import annotations
 
+import functools
 import random
 import zlib
 from fractions import Fraction
@@ -207,8 +208,11 @@ def _coeff_candidates(rng: random.Random, domain, *ideals) -> list:
     return out
 
 
-def suite_pair_identities(seed: int = 0, trials: int = 200,
-                          probes: int = 100) -> dict:
+# Membership probes per lemma23 trial, at least: the window is padded up to it.
+PROBES = 100
+
+
+def suite_pair_identities(seed: int = 0, trials: int = 200) -> dict:
     rng = _rng(seed, trials)
     checks: list = []
     bad = 0
@@ -225,7 +229,7 @@ def suite_pair_identities(seed: int = 0, trials: int = 200,
                     for z in y2.min_generators]
         exps = list(_window(quotient.exps))
         coeffs = _coeff_candidates(rng, domain, j1, quotient.coeff)
-        while len(exps) * len(coeffs) < probes:
+        while len(exps) * len(coeffs) < PROBES:
             exps.append(exps[-1] + 1)
             exps.insert(0, exps[0] - 1)
         done = 0
@@ -239,7 +243,7 @@ def suite_pair_identities(seed: int = 0, trials: int = 200,
                 if lhs != rhs:
                     failed = (b, g, lhs, rhs)
                     break
-            if failed or done >= probes and done >= len(exps):
+            if failed or done >= PROBES and done >= len(exps):
                 break
         total_probes += done
         least = done if least is None else min(least, done)
@@ -284,13 +288,15 @@ def _random_poly(rng: random.Random, domain, sgp, max_terms=3):
     return grd.graded_element(domain, sgp, terms.items())
 
 
-def northcott_search(max_coord: int = 3):
+@functools.cache
+def northcott_search():
     """Exhaustive sweep for a pair with nonzero content exponent over the
-    non-maximal order of radicand -3, smallest coefficient shells first."""
+    non-maximal order of radicand -3, smallest coefficient shells first
+    (coordinates up to 3).  The answer is fixed, so it is computed once."""
     domain = dom.CoefficientDomain.z_sqrt(-3)
     sgp = from_generators([1])
     examined = 0
-    for bound in range(1, max_coord + 1):
+    for bound in range(1, 4):
         pool = [domain.element(x, y)
                 for x in range(-bound, bound + 1)
                 for y in range(-bound, bound + 1)
@@ -422,13 +428,18 @@ def _random_quadric(rng: random.Random) -> qdr.QuadricElement:
     return qdr.from_terms(entries)
 
 
-def _random_subring_member(rng: random.Random) -> qdr.QuadricElement:
+@functools.cache
+def _subring_blocks() -> tuple:
+    """The subring members whose integer combinations the suite samples."""
     x = qdr.x_pow(1)
-    blocks = [qdr.one(), qdr.y_pow(1), qdr.z_pow(1), x * (x - 1),
-              x * x * (x - 1), qdr.y_pow(2), qdr.z_pow(2), x * qdr.y_pow(1)]
+    return (qdr.one(), qdr.y_pow(1), qdr.z_pow(1), x * (x - 1),
+            x * x * (x - 1), qdr.y_pow(2), qdr.z_pow(2), x * qdr.y_pow(1))
+
+
+def _random_subring_member(rng: random.Random) -> qdr.QuadricElement:
     u = qdr.from_terms([])
     for _ in range(rng.randint(1, 3)):
-        u = u + rng.randint(-3, 3) * rng.choice(blocks)
+        u = u + rng.randint(-3, 3) * rng.choice(_subring_blocks())
     return u
 
 

@@ -1,5 +1,6 @@
 """Exit codes, report schema, and determinism of the command line front end."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgclass import cli, suites
+from sgclass import domains as dom
 from sgclass import graded as grd
 from sgclass import ideals as mid
 from sgclass.errors import ExponentCapError
@@ -68,7 +70,7 @@ def test_search_command_reports_empty_sweep():
     code, report = cli.run(["sgp", "search", "--sgp", "3,5", "--bound", "12"])
     assert code == 0
     assert report["results"]["found"] is None
-    assert statuses(report) == ["pass", "pass"]
+    assert statuses(report) == ["pass"]
 
 
 def test_parse_error_exits_two():
@@ -379,3 +381,43 @@ def test_cli_run_exits_cleanly_on_any_argv(argv):
     assert code in (0, 1, 2)
     if code == 2:
         assert "error" in report
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_two_runs_build_the_parser_once(monkeypatch):
+    cli.build_parser.cache_clear()
+    built = _counting(monkeypatch, argparse.ArgumentParser, "add_subparsers")
+    assert cli.run(["demo", "ex216"])[0] == 0
+    assert cli.run(["sgp", "info", "--sgp", "2,3"])[0] == 0
+    # the top-level parser and its sgp subparser each add one subparser set
+    assert len(built) == 2
+
+
+def test_search_runs_one_sweep(monkeypatch):
+    sweeps = _counting(monkeypatch, mid, "search_nonprincipal_t_invertible")
+    code, _ = cli.run(["sgp", "search", "--sgp", "3,5", "--bound", "12"])
+    assert code == 0
+    assert len(sweeps) == 1
+
+
+def test_ex217_builds_one_class_group(monkeypatch):
+    groups = _counting(monkeypatch, dom, "class_group")
+    code, report = cli.run(["demo", "ex217", "--domain", "O[sqrt(-23)]"])
+    assert code == 0
+    assert "Z/3Z" in report["results"]["conclusion"]
+    assert len(groups) == 1
+
+
+def test_northcott_search_is_computed_once():
+    assert suites.northcott_search() is suites.northcott_search()
