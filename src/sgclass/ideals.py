@@ -210,16 +210,31 @@ def canonical_generator_sets(monoid: NumericalSemigroup, bound: int):
     These are exactly the antichains of the divisibility order of the monoid:
     sets where no two elements differ by a nonzero member.  Order: smallest
     maximum first, then lexicographic, so the sweep is deterministic.
+    Candidate sets are gap bit sets: with G the gaps, the elements that may
+    precede ``top`` start as top - G, and choosing e keeps only G << e.
     """
-    gap_set = set(monoid.gaps)
+    gaps = 0
+    for g in monoid.gaps:
+        gaps |= 1 << g
+
+    def extend(prefix: tuple[int, ...], top: int, candidates: int):
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            e = low.bit_length() - 1
+            yield from extend(prefix + (e,), top, candidates & (gaps << e))
+        yield prefix + (top,)
+
+    below = 0  # bit e set iff top - e is a gap
     for top in range(bound + 1):
-        def extend(prefix: tuple[int, ...]):
-            start = prefix[-1] + 1 if prefix else 0
-            for e in range(start, top):
-                if (top - e) in gap_set and all((e - p) in gap_set for p in prefix):
-                    yield from extend(prefix + (e,))
-            yield prefix + (top,)
-        yield from extend(())
+        yield from extend((), top, below)
+        below = (below << 1) | ((gaps >> (top + 1)) & 1)
+
+
+def class_key(gens: tuple[int, ...]) -> tuple[int, ...]:
+    """The minimal generators of the shift to minimum 0 of the ideal that the
+    antichain ``gens`` generates: equal keys mean shifted ideals."""
+    return tuple(g - gens[0] for g in gens)
 
 
 def search_nonprincipal_t_invertible(monoid: NumericalSemigroup, bound: int,
@@ -228,18 +243,29 @@ def search_nonprincipal_t_invertible(monoid: NumericalSemigroup, bound: int,
 
     Returns the first non-principal t-invertible ideal in the deterministic
     enumeration order, or None when the sweep is exhaustive and empty-handed.
-    ``progress(examined, generators)`` is called periodically.
+    ``progress(examined, generators)`` is called every 250 antichains and once
+    with None at the end.  Every antichain is examined and counted, but each
+    shift class is judged once per call, on its ``class_key``.  That is sound
+    because t-invertibility is shift-invariant, a theorem and not a shortcut:
+    inverse(y + n) = inverse(y) - n, so (y + n) + inverse(y + n) is
+    y + inverse(y), and so is its v-closure.  Every fractional ideal is a
+    shift of exactly one ideal with minimum 0, the one its key generates.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     examined = 0
+    judged: dict[tuple[int, ...], bool] = {}
     for gens in canonical_generator_sets(monoid, bound):
-        ideal = ideal_from_generators(monoid, gens)
         examined += 1
         if progress is not None and examined % 250 == 0:
             progress(examined, gens)
-        if not is_principal(ideal) and is_t_invertible(ideal):
-            return ideal
+        if len(gens) == 1:
+            continue
+        key = class_key(gens)
+        if key not in judged:
+            judged[key] = is_t_invertible(ideal_from_generators(monoid, key))
+        if judged[key]:
+            return ideal_from_generators(monoid, gens)
     if progress is not None:
         progress(examined, None)
     return None

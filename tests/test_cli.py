@@ -298,14 +298,32 @@ def test_ex218_search_is_the_witness_of_the_sweep(monkeypatch):
                                 for gens in mid.canonical_generator_sets(sgp, 10))
                     if not mid.is_principal(y)]
     chosen = nonprincipal[len(nonprincipal) // 2]
+    assert chosen.min > 0  # so the first of its class is another antichain
     real = mid.is_t_invertible
-    monkeypatch.setattr(mid, "is_t_invertible", lambda y: y == chosen or real(y))
+
+    def normalized(y):
+        return y.shift(-y.min)
+
+    # a fake judge, shift-invariant like the real one
+    monkeypatch.setattr(mid, "is_t_invertible",
+                        lambda y: normalized(y) == normalized(chosen) or real(y))
+    first = next(y for y in nonprincipal if normalized(y) == normalized(chosen))
     witness = mid.search_nonprincipal_t_invertible(sgp, 10)
-    assert witness == chosen
+    assert witness == first
+    assert witness != chosen
     code, report = cli.run(["demo", "ex218", "--sgp", "3,5", "--bound", "10"])
     assert code == 1
     assert report["results"]["search"] == witness.to_json()
     assert report["results"]["search"]["invertible"] is True
+
+
+@pytest.mark.parametrize("op", ["info", "inverse", "v", "t", "class"])
+def test_ideal_ops_refuse_a_second_operand_they_ignore(op):
+    code, report = cli.run(["sgp", "ideal", "--sgp", "2,3", "--gens", "2,3",
+                            "--op", op, "--gens2", "0,1"])
+    assert code == 2
+    assert "--gens2" in report["error"]
+    assert "results" not in report
 
 
 def test_bad_seed_in_the_environment_exits_two(monkeypatch):

@@ -181,6 +181,96 @@ def test_search_reports_progress():
     assert seen and seen[-1] >= 1
 
 
+# --- references for the sweep: one judgment per antichain, set lookups ------
+
+def reference_generator_sets(monoid, bound):
+    """Antichains in [0, bound] by gap-set membership, in the sweep's order."""
+    gap_set = set(monoid.gaps)
+    for top in range(bound + 1):
+        def extend(prefix):
+            start = prefix[-1] + 1 if prefix else 0
+            for e in range(start, top):
+                if (top - e) in gap_set and all((e - p) in gap_set for p in prefix):
+                    yield from extend(prefix + (e,))
+            yield prefix + (top,)
+        yield from extend(())
+
+
+def reference_search(monoid, bound, progress):
+    """The sweep judging every antichain's ideal on its own."""
+    examined = 0
+    for gens in reference_generator_sets(monoid, bound):
+        ideal = mid.ideal_from_generators(monoid, gens)
+        examined += 1
+        if examined % 250 == 0:
+            progress(examined, gens)
+        if not mid.is_principal(ideal) and mid.is_t_invertible(ideal):
+            return ideal
+    progress(examined, None)
+    return None
+
+
+def closed_gap_subsets(monoid):
+    """Count the sets A of gaps with A + s inside S or A for every s in S."""
+    gaps = monoid.gaps
+    members = [s for s in range(monoid.conductor) if monoid.contains(s)]
+    count = 0
+    for mask in range(1 << len(gaps)):
+        chosen = {g for i, g in enumerate(gaps) if mask >> i & 1}
+        count += all(monoid.contains(a + s) or a + s in chosen
+                     for a in chosen for s in members)
+    return count
+
+
+SWEEP_POOL = ((2, 3), (3, 5), (5, 7), (3, 4, 5), (4, 6, 9), (7, 9, 11))
+NORMALIZED_COUNTS = {(2, 3): 2, (3, 5): 7, (5, 7): 66, (3, 4, 5): 4,
+                     (4, 6, 9): 17, (7, 9, 11): 256}
+
+
+@pytest.mark.parametrize("gens", SWEEP_POOL)
+def test_generator_sets_match_the_reference_enumerator(gens):
+    monoid = from_generators(gens)
+    for bound in (0, 1, 5, monoid.frobenius, monoid.frobenius + 3):
+        assert list(mid.canonical_generator_sets(monoid, bound)) == \
+            list(reference_generator_sets(monoid, bound))
+
+
+@pytest.mark.parametrize("gens", SWEEP_POOL)
+@pytest.mark.parametrize("fake", [False, True])
+def test_sweep_matches_the_per_antichain_reference(gens, fake, monkeypatch):
+    monoid = from_generators(gens)
+    bound = min(monoid.frobenius + 2, 12)
+    if fake:
+        # a shift-invariant judge that also accepts one non-principal class
+        real = mid.is_t_invertible
+        chosen = [g for g in reference_generator_sets(monoid, bound)
+                  if len(g) > 1][-1]
+        target = mid.ideal_from_generators(monoid, chosen)
+        target = target.shift(-target.min)
+        monkeypatch.setattr(mid, "is_t_invertible",
+                            lambda y: y.shift(-y.min) == target or real(y))
+    expected_calls, calls = [], []
+    expected = reference_search(monoid, bound,
+                                lambda n, g: expected_calls.append((n, g)))
+    found = mid.search_nonprincipal_t_invertible(
+        monoid, bound, progress=lambda n, g: calls.append((n, g)))
+    assert found == expected
+    assert (found is not None) == fake
+    assert calls == expected_calls
+
+
+@pytest.mark.parametrize("gens", SWEEP_POOL)
+def test_class_keys_count_the_normalized_ideals(gens):
+    monoid = from_generators(gens)
+    expected = NORMALIZED_COUNTS[gens]
+    assert closed_gap_subsets(monoid) == expected
+    for bound in (monoid.frobenius, monoid.frobenius + 3):
+        keys = {mid.class_key(g)
+                for g in mid.canonical_generator_sets(monoid, bound)}
+        assert all(key[0] == 0 for key in keys)
+        assert len(keys) == expected
+
+
 def test_class_arithmetic_on_principals():
     a = mid.class_reduce(mid.ideal_from_generators(S35, [4]))
     b = mid.class_reduce(mid.ideal_from_generators(S35, [-2]))
