@@ -594,9 +594,13 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
 
 @dataclass(frozen=True)
 class ClassGroup:
+    """A form class group: the reduced forms, their composition table
+    (``table[i][j]`` is the index of forms[i]·forms[j]) and the invariant
+    factors d_1 | d_2 | ..., all > 1, of the group as a sum of Z/d_i."""
     domain: CoefficientDomain
     forms: tuple[QuadForm, ...]
     table: tuple[tuple[int, ...], ...]
+    invariants: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -615,38 +619,131 @@ class ClassGroup:
         return k
 
     def structure(self) -> str:
-        h = self.order
-        if h == 1:
+        if not self.invariants:
             return "trivial"
-        orders = [self.element_order(i) for i in range(h)]
-        if max(orders) == h:
-            return f"Z/{h}Z"
-        exponent = 1
-        for o in orders:
-            exponent = lcm(exponent, o)
-        return f"abelian of order {h} with exponent {exponent}"
+        if len(self.invariants) == 1:
+            return f"Z/{self.order}Z"
+        return (f"abelian of order {self.order} "
+                f"with exponent {self.invariants[-1]}")
 
     def to_json(self) -> dict:
         return {
             "order": self.order,
             "structure": self.structure(),
+            "invariants": list(self.invariants),
             "forms": [f.text() for f in self.forms],
             "table": [list(row) for row in self.table],
         }
 
 
+def _smith(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """The Smith normal form of a nonsingular square integer matrix M: the
+    diagonal d_1 | d_2 | ... (all > 0) and a unimodular V with U·M·V =
+    diag(d) for some unimodular U (Cohen, GTM 138, Alg. 2.4.14).  U is not
+    kept: Z^n / (rows of M) -> sum of Z/d_i is the map c -> c·V mod d."""
+    n = len(matrix)
+    a = [row[:] for row in matrix]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    for t in range(n):
+        while True:
+            # a least nonzero entry of the lower right block becomes the pivot
+            _, i, j = min((abs(a[i][j]), i, j) for i in range(t, n)
+                          for j in range(t, n) if a[i][j])
+            a[t], a[i] = a[i], a[t]
+            for row in a + v:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for i in range(t + 1, n):          # row operations clear column t
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, n):          # column operations clear row t
+                q = a[t][j] // p
+                for row in a + v:
+                    row[j] -= q * row[t]
+            if any(a[i][t] for i in range(t + 1, n)) or any(a[t][t + 1:]):
+                continue                       # a remainder: a smaller pivot
+            bad = [i for i in range(t + 1, n) if any(x % p for x in a[i][t + 1:])]
+            if not bad:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad[0]])]
+    return [abs(a[t][t]) for t in range(n)], v
+
+
 def class_group(domain: CoefficientDomain) -> ClassGroup:
-    """The form class group of a maximal imaginary quadratic order."""
+    """The form class group of a maximal imaginary quadratic order.
+
+    The group is built by cyclic extension (Cohen, GTM 138, §5.4; Buchmann
+    & Schmidt, Math. Comp. 74, 2005): the first reduced form g outside the
+    subgroup H built so far adds the cosets g^j·H, one composition per new
+    element, until g^k lands in H.  That costs h - 1 compositions and gives
+    one relation g^k = (an element of H) per generator; the Smith normal
+    form of the relations gives the invariant factors and coordinates in
+    the sum of Z/d_i.  The table is filled without composing: the row of
+    x·u, for u a unit vector, is the row of x permuted by translation by u.
+
+    >>> class_group(domain_for_discriminant(-231)).invariants
+    (2, 6)
+    """
     if domain.kind != "quadratic":
         raise CapabilityError("class groups are computed for quadratic orders only")
     if not domain.maximal:
         raise CapabilityError("class groups are computed for maximal orders only")
     forms = tuple(reduced_forms(domain.discriminant))
-    index = {f: i for i, f in enumerate(forms)}
-    table = tuple(
-        tuple(index[_compose(f, g)] for g in forms) for f in forms
-    )
-    return ClassGroup(domain, forms, table)
+    h = len(forms)
+    # elems[i + n*j] = g^j·elems[i] (i < n) for the generator g that was
+    # added to the first n elements
+    elems = [identity_form(domain.discriminant)]
+    position = {elems[0]: 0}
+    extensions = []    # (n, k, position of g^k), one per generator g
+    for g in forms:
+        if g in position:
+            continue
+        n = len(elems)
+        power = g
+        while power not in position:
+            base = len(elems) - n
+            for x in [power] + [_compose(y, g) for y in elems[base + 1:base + n]]:
+                position[x] = len(elems)
+                elems.append(x)
+            power = _compose(power, g)
+        extensions.append((n, len(elems) // n, position[power]))
+    # relation t: k_t e_t - (coordinates of g_t^k_t, in mixed radix k_1, ...)
+    relations = []
+    for t, (_, k, p) in enumerate(extensions):
+        row = [-(p // n_s % k_s) for n_s, k_s, _ in extensions[:t]]
+        relations.append(row + [k] + [0] * (len(extensions) - t - 1))
+    diagonal, v = _smith(relations)
+    kept = [j for j, d in enumerate(diagonal) if d > 1]
+    invariants = tuple(diagonal[j] for j in kept)
+    # coordinates over the kept factors, in elems order: g^j·x is g^(j-1)·x
+    # plus the image of g, the row of V that belongs to g
+    coords = [(0,) * len(kept)]
+    for (n, k, _), images in zip(extensions, v):
+        step = [images[j] for j in kept]
+        for i in range(n, n * k):
+            coords.append(tuple((c + s) % d for c, s, d in
+                                zip(coords[i - n], step, invariants)))
+    # a code is the coordinates in mixed radix: y_1 + d_1·(y_2 + d_2·(...))
+    weights = [1]
+    for d in invariants[:-1]:
+        weights.append(weights[-1] * d)
+    codes = [sum(y * w for y, w in zip(ys, weights)) for ys in coords]
+    form_codes = [codes[position[f]] for f in forms]
+    form_at = [0] * h
+    for i, c in enumerate(form_codes):
+        form_at[c] = i
+    # the codes in [w, w·d) are those whose last nonzero digit has weight w:
+    # the element of code c is the one of code c - w times the unit u of that
+    # digit, so its row is the row of c - w permuted by translation by u
+    rows = [tuple(range(h))]
+    for w, d in zip(weights, invariants):
+        shift = [form_at[c - (d - 1) * w if c // w % d == d - 1 else c + w]
+                 for c in form_codes]          # shift[i]: the index of forms[i]·u
+        for c in range(w, w * d):
+            prev = rows[c - w]
+            rows.append(tuple([prev[s] for s in shift]))
+    table = tuple(rows[c] for c in form_codes)
+    return ClassGroup(domain, forms, table, invariants)
 
 
 def describe_class_group(domain: CoefficientDomain) -> str:

@@ -509,6 +509,7 @@ def suite_domains(seed: int = 0, trials: int = 120) -> dict:
     check(checks, "norms multiply, inverses invert, membership matches basis",
           bad == 0, f"{trials - bad}/{trials} trials clean")
     bad = pairs = disagree = 0
+    structures = {}
     for disc in _DISC_POOL:
         domain = dom.domain_for_discriminant(disc)
         forms = dom.reduced_forms(disc)
@@ -522,6 +523,7 @@ def suite_domains(seed: int = 0, trials: int = 120) -> dict:
                 if dom.compose(f, g) != dom.ideal_to_form(dom.mul(i, j)):
                     disagree += 1
         group = dom.class_group(domain)
+        structures[disc] = group.structure()
         e = group.identity_index
         for a in range(group.order):
             inv_found = any(group.table[a][b] == e for b in range(group.order))
@@ -531,8 +533,6 @@ def suite_domains(seed: int = 0, trials: int = 120) -> dict:
           f"discriminants {list(_DISC_POOL)}")
     check(checks, "composition agrees with the ideal product", disagree == 0,
           f"{pairs - disagree}/{pairs} form pairs agree")
-    structures = {disc: dom.class_group(dom.domain_for_discriminant(disc)).structure()
-                  for disc in _DISC_POOL}
     expected = {-4: "trivial", -20: "Z/2Z", -23: "Z/3Z", -24: "Z/2Z",
                 -84: "abelian of order 4 with exponent 2"}
     check(checks, "class group structures", structures == expected,

@@ -1,8 +1,9 @@
 """Quadratic orders: lattice ideals, form reduction, and class groups."""
 
+import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 import sympy
@@ -325,6 +326,98 @@ def test_class_group_table_is_a_group():
         for j in range(n):
             assert table[i][j] == table[j][i]
     assert all(group.element_order(i) in (1, 2) for i in range(n))
+
+
+def pairwise_class_group(disc):
+    """The forms, table and structure label of the class group with every
+    pair of reduced forms composed: h^2 compositions, the reference that
+    cyclic extension must reproduce."""
+    forms = tuple(dom.reduced_forms(disc))
+    index = {f: i for i, f in enumerate(forms)}
+    table = tuple(tuple(index[dom._compose(f, g)] for g in forms) for f in forms)
+    h = len(forms)
+    orders = element_orders(table, index[dom.identity_form(disc)])
+    if h == 1:
+        structure = "trivial"
+    elif max(orders) == h:
+        structure = f"Z/{h}Z"
+    else:
+        structure = f"abelian of order {h} with exponent {lcm(*orders)}"
+    return forms, table, structure
+
+
+def element_orders(table, e):
+    """The order of every element of a group table with identity e."""
+    orders = []
+    for x in range(len(table)):
+        k, current = 1, x
+        while current != e:
+            current, k = table[current][x], k + 1
+        orders.append(k)
+    return orders
+
+
+def sample_discriminants(count, bound, seed):
+    rng = random.Random(seed)
+    discs = []
+    while len(discs) < count:
+        disc = -rng.randint(1500, bound)
+        if fundamental_discriminants(disc, disc):
+            discs.append(disc)
+    return discs
+
+
+def test_class_group_matches_the_pairwise_table():
+    discs = fundamental_discriminants(-1499, -3) + sample_discriminants(5, 10**5, 10)
+    for disc in discs:
+        group = dom.class_group(dom.domain_for_discriminant(disc))
+        forms, table, structure = pairwise_class_group(disc)
+        assert group.forms == forms, disc
+        assert group.table == table, disc
+        assert group.structure() == structure, disc
+
+
+def invariant_order_counts(invariants):
+    """How many elements of each order the sum of the Z/d has."""
+    counts = {}
+    for digits in itertools.product(*(range(d) for d in invariants)):
+        order = lcm(*(d // gcd(y, d) for y, d in zip(digits, invariants)))
+        counts[order] = counts.get(order, 0) + 1
+    return counts
+
+
+def test_invariant_factors_determine_the_group():
+    for disc in fundamental_discriminants(-1499, -3) + [-831, -3995]:
+        group = dom.class_group(dom.domain_for_discriminant(disc))
+        inv = group.invariants
+        assert all(d > 1 for d in inv) and prod(inv) == group.order, disc
+        assert all(b % a == 0 for a, b in zip(inv, inv[1:])), disc
+        counts = {}
+        for k in element_orders(group.table, group.identity_index):
+            counts[k] = counts.get(k, 0) + 1
+        assert counts == invariant_order_counts(inv), disc
+    pinned = {-3: (), -84: (2, 2), -231: (2, 6), -831: (28,), -3995: (2, 14)}
+    for disc, inv in pinned.items():
+        group = dom.class_group(dom.domain_for_discriminant(disc))
+        assert group.invariants == inv
+        assert group.to_json()["invariants"] == list(inv)
+
+
+def test_class_group_composes_about_h_times(monkeypatch):
+    calls = []
+    real = dom._compose
+
+    def counted(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(dom, "_compose", counted)
+    for disc, h in ((-10007, 77), (-4000004, 1032)):
+        calls.clear()
+        group = dom.class_group(dom.domain_for_discriminant(disc))
+        assert group.order == h
+        assert 0 < len(calls) <= h + h.bit_length() - 1, disc
+    assert group.invariants == (2, 516)
 
 
 def test_class_group_capability_limits():
