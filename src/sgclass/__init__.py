@@ -22,6 +22,9 @@ from .graded import (
     IdealPair,
     decompose_class,
     extract_pair,
+    homogeneous_ideal,
+    homogeneous_membership,
+    inverse_content_product_check,
     parse_element,
     transfer_criterion_report,
 )
@@ -52,7 +55,10 @@ __all__ = [
     "decompose_class",
     "extract_pair",
     "from_generators",
+    "homogeneous_ideal",
+    "homogeneous_membership",
     "ideal_from_generators",
+    "inverse_content_product_check",
     "parse_domain",
     "parse_element",
     "parse_monoid",

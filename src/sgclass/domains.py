@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .errors import CapabilityError, MismatchError, ParseError
@@ -384,13 +385,6 @@ def mul(i: CoeffIdeal, j: CoeffIdeal) -> CoeffIdeal:
                              for f in j.basis_elements()])
 
 
-def add(i: CoeffIdeal, j: CoeffIdeal) -> CoeffIdeal:
-    domain = _require_same_domain(i, j)
-    if domain.kind != "quadratic":
-        return _rational(domain, [i.scale, j.scale])
-    return _lattice(domain, i.basis_elements() + j.basis_elements())
-
-
 def colon(i: CoeffIdeal, j: CoeffIdeal) -> CoeffIdeal:
     """(i : j) = every field element x with x*j inside i.
 
@@ -514,10 +508,18 @@ def identity_form(disc: int) -> QuadForm:
     return QuadForm(1, k, (k * k - disc) // 4)
 
 
+# Largest |D| whose reduced forms are listed: the scan visits about |D|/6 pairs.
+MAX_DISCRIMINANT = 1 << 24
+
+
 def reduced_forms(disc: int) -> list[QuadForm]:
-    """All reduced positive definite forms of the given negative discriminant."""
+    """All reduced positive definite forms of the given negative discriminant;
+    |disc| above ``MAX_DISCRIMINANT`` raises ``CapabilityError``."""
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError("discriminant must be negative and 0 or 1 mod 4")
+    if -disc > MAX_DISCRIMINANT:
+        raise CapabilityError(f"discriminant {disc} is too large to list its "
+                              f"reduced forms (|D| > {MAX_DISCRIMINANT})")
     forms = []
     for a in range(1, isqrt(-disc // 3) + 1):
         for b in range(-a + (a + disc) % 2, a + 1, 2):   # b = disc mod 2
@@ -528,7 +530,10 @@ def reduced_forms(disc: int) -> list[QuadForm]:
     return forms   # in (a, b, c) order: a and b ascend, c follows from them
 
 
+@lru_cache(maxsize=256)
 def domain_for_discriminant(disc: int) -> CoefficientDomain:
+    """The maximal order of a fundamental discriminant; CapabilityError for
+    any other negative discriminant.  Cached, as ``compose`` asks on every call."""
     if disc >= 0:
         raise ValueError("discriminant must be negative")
     if disc % 4 not in (0, 1):
@@ -562,9 +567,16 @@ def ideal_to_form(i: CoeffIdeal) -> QuadForm:
     return QuadForm(fa, fb, fc).reduced()
 
 
-def _compose(f: QuadForm, g: QuadForm) -> QuadForm:
-    """The reduced composite of two forms of one discriminant, by integer
-    Gauss composition (Cohen, GTM 138, Alg. 5.4.7)."""
+def compose(f: QuadForm, g: QuadForm) -> QuadForm:
+    """The reduced Gauss composite of two forms of one fundamental
+    discriminant, on integers (Cohen, GTM 138, Alg. 5.4.7).
+
+    Raises MismatchError for forms of different discriminants and
+    CapabilityError when the discriminant is not fundamental.
+    """
+    if f.discriminant != g.discriminant:
+        raise MismatchError("forms have different discriminants")
+    domain_for_discriminant(f.discriminant)
     if f.a > g.a:
         f, g = g, f
     s = (f.b + g.b) // 2
@@ -577,19 +589,6 @@ def _compose(f: QuadForm, g: QuadForm) -> QuadForm:
     b = g.b + 2 * v2 * r
     c = (g.c * d1 + r * (g.b + v2 * r)) // v1
     return QuadForm(v1 * v2, b, c).reduced()
-
-
-def compose(f: QuadForm, g: QuadForm) -> QuadForm:
-    """The reduced Gauss composite of two forms of one fundamental
-    discriminant (Cohen, GTM 138, Alg. 5.4.7).
-
-    Raises MismatchError for forms of different discriminants and
-    CapabilityError when the discriminant is not fundamental.
-    """
-    if f.discriminant != g.discriminant:
-        raise MismatchError("forms have different discriminants")
-    domain_for_discriminant(f.discriminant)
-    return _compose(f, g)
 
 
 @dataclass(frozen=True)
@@ -609,14 +608,6 @@ class ClassGroup:
     @property
     def identity_index(self) -> int:
         return self.forms.index(identity_form(self.domain.discriminant))
-
-    def element_order(self, index: int) -> int:
-        e = self.identity_index
-        k, current = 1, index
-        while current != e:
-            current = self.table[current][index]
-            k += 1
-        return k
 
     def structure(self) -> str:
         if not self.invariants:
@@ -702,10 +693,10 @@ def class_group(domain: CoefficientDomain) -> ClassGroup:
         power = g
         while power not in position:
             base = len(elems) - n
-            for x in [power] + [_compose(y, g) for y in elems[base + 1:base + n]]:
+            for x in [power] + [compose(y, g) for y in elems[base + 1:base + n]]:
                 position[x] = len(elems)
                 elems.append(x)
-            power = _compose(power, g)
+            power = compose(power, g)
         extensions.append((n, len(elems) // n, position[power]))
     # relation t: k_t e_t - (coordinates of g_t^k_t, in mixed radix k_1, ...)
     relations = []

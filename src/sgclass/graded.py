@@ -268,21 +268,6 @@ def homogeneous_ideal(domain: CoefficientDomain, monoid: NumericalSemigroup,
     return HomogeneousIdeal(domain, monoid, tuple(cleaned))
 
 
-def content_of_ideal(gens) -> HomogeneousIdeal:
-    """The homogeneous ideal generated by all components of the given elements."""
-    elements = [x for x in gens if x]
-    if not elements:
-        raise ValueError("at least one nonzero element is required")
-    first = elements[0]
-    pieces = []
-    for x in elements:
-        if x.domain != first.domain or x.monoid != first.monoid:
-            raise MismatchError("elements live over different rings")
-        for g, b in x.terms:
-            pieces.append((b, g))
-    return homogeneous_ideal(first.domain, first.monoid, pieces)
-
-
 def _component(ideal: HomogeneousIdeal, beta: int) -> CoeffIdeal | None:
     """The degree-``beta`` coefficient ideal of ``ideal``, generated by the a of
     the generators a*X^alpha with beta - alpha in the monoid; None if none."""
@@ -302,11 +287,6 @@ def homogeneous_membership(ideal: HomogeneousIdeal, f: GradedElement) -> bool:
     return True
 
 
-def multiply_ideals(h1: HomogeneousIdeal, h2: HomogeneousIdeal) -> HomogeneousIdeal:
-    gens = [(a1 * a2, g1 + g2) for a1, g1 in h1.gens for a2, g2 in h2.gens]
-    return homogeneous_ideal(h1.domain, h1.monoid, gens)
-
-
 # --- split ideals: a coefficient part and an exponent part -------------------
 
 @dataclass(frozen=True)
@@ -323,24 +303,9 @@ class IdealPair:
         return {"coeff": self.coeff.to_json(), "exps": self.exps.to_json()}
 
 
-def unit_pair(domain: CoefficientDomain, monoid: NumericalSemigroup) -> IdealPair:
-    return IdealPair(dom.unit_ideal(domain), mid.unit_ideal(monoid))
-
-
-def pair_contains(pair: IdealPair, f: GradedElement) -> bool:
-    return all(pair.exps.contains(g) for g in f.exponents) and \
-        all(pair.coeff.contains(b) for b in f.coefficients)
-
-
 def _require_compatible(p1: IdealPair, p2: IdealPair):
     if p1.coeff.domain != p2.coeff.domain or p1.exps.monoid != p2.exps.monoid:
         raise MismatchError("pairs live over different rings")
-
-
-def pair_mul(p1: IdealPair, p2: IdealPair) -> IdealPair:
-    _require_compatible(p1, p2)
-    return IdealPair(dom.mul(p1.coeff, p2.coeff),
-                     mid.minkowski_sum(p1.exps, p2.exps))
 
 
 def pair_colon(p1: IdealPair, p2: IdealPair) -> IdealPair:
@@ -353,23 +318,8 @@ def pair_v(pair: IdealPair) -> IdealPair:
     return IdealPair(dom.v_closure(pair.coeff), mid.v_closure(pair.exps))
 
 
-def pair_t(pair: IdealPair) -> IdealPair:
-    return IdealPair(dom.v_closure(pair.coeff), mid.t_closure(pair.exps))
-
-
 def pair_is_t_invertible(pair: IdealPair) -> bool:
     return dom.is_t_invertible(pair.coeff) and mid.is_t_invertible(pair.exps)
-
-
-def pair_is_principal(pair: IdealPair) -> bool:
-    return dom.is_principal(pair.coeff) is not None and \
-        mid.is_principal(pair.exps)
-
-
-def pair_to_homogeneous(pair: IdealPair) -> HomogeneousIdeal:
-    gens = [(b, g) for b in pair.coeff.basis_elements()
-            for g in pair.exps.min_generators]
-    return homogeneous_ideal(pair.coeff.domain, pair.exps.monoid, gens)
 
 
 def extract_pair(ideal: HomogeneousIdeal, assume_divisorial: bool = False) -> IdealPair:
@@ -513,12 +463,6 @@ def inverse_content_product_check(a: GradedElement) -> dict:
 
 
 # --- the transfer criterion --------------------------------------------------
-
-def semigroup_ring_integrally_closed(domain: CoefficientDomain,
-                                     descriptor: MonoidDescriptor) -> bool:
-    """The monoid ring is integrally closed exactly when both factors are."""
-    return domain.is_integrally_closed() and descriptor.is_integrally_closed()
-
 
 def monoid_class_group_status(descriptor: MonoidDescriptor,
                               search_bound: int) -> tuple[bool, str]:

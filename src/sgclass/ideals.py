@@ -15,13 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import CapabilityError, MismatchError
 from .semigroups import MAX_WINDOW_BITS, NumericalSemigroup, _bit_positions
-
-# Most minimal generators the definitional t-closure takes (2^n - 1 subsets).
-MAX_DEFINITIONAL_GENERATORS = 16
 
 
 @dataclass(frozen=True)
@@ -134,28 +130,11 @@ def v_closure(y: FractionalIdeal) -> FractionalIdeal:
     return inverse(inverse(y))
 
 
-def t_closure(y: FractionalIdeal, definitional: bool = False) -> FractionalIdeal:
-    """The t-closure; equals the v-closure for these finitely generated ideals.
-
-    With ``definitional=True`` the union over v-closures of finitely generated
-    subideals is computed literally, as a cross-check.  The subset lattice is
-    exponential in the generator count, so that mode is capped.
-    """
-    if not definitional:
-        return v_closure(y)
-    gens = y.min_generators
-    if len(gens) > MAX_DEFINITIONAL_GENERATORS:
-        raise ValueError("definitional t-closure is capped at "
-                         f"{MAX_DEFINITIONAL_GENERATORS} generators")
-    closures = [v_closure(ideal_from_generators(y.monoid, subset))
-                for r in range(1, len(gens) + 1)
-                for subset in combinations(gens, r)]
-    lo = min(c.min for c in closures)
-    hi = min(c.stable_bound for c in closures)
-    bits = 0
-    for c in closures:
-        bits |= _members(c) << (c.min - lo)
-    return _canonical(y.monoid, lo, hi, bits)
+def t_closure(y: FractionalIdeal) -> FractionalIdeal:
+    """The t-closure, the union of the v-closures of the finitely generated
+    subideals; it is the v-closure, because y itself is finitely generated
+    (Halter-Koch, *Ideal Systems*, 1998)."""
+    return v_closure(y)
 
 
 def is_divisorial(y: FractionalIdeal) -> bool:
@@ -182,22 +161,6 @@ def class_reduce(y: FractionalIdeal) -> MonoidClass:
     v = v_closure(y)
     rep = v.shift(-v.min)
     return MonoidClass(rep, is_t_invertible(rep))
-
-
-def _require_invertible(*classes: MonoidClass):
-    for c in classes:
-        if not c.invertible:
-            raise ValueError("class arithmetic needs t-invertible representatives")
-
-
-def class_mul(c1: MonoidClass, c2: MonoidClass) -> MonoidClass:
-    _require_invertible(c1, c2)
-    return class_reduce(minkowski_sum(c1.representative, c2.representative))
-
-
-def class_inverse(c: MonoidClass) -> MonoidClass:
-    _require_invertible(c)
-    return class_reduce(inverse(c.representative))
 
 
 def class_is_trivial(c: MonoidClass) -> bool:
@@ -237,6 +200,20 @@ def class_key(gens: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(g - gens[0] for g in gens)
 
 
+def _judged_classes(monoid: NumericalSemigroup, bound: int, judge):
+    """Yield (gens, key, verdict) for each antichain of
+    ``canonical_generator_sets(monoid, bound)``, in its order, where key is
+    its ``class_key`` and verdict is ``judge`` of the ideal the key generates,
+    computed once per key.  Only a shift-invariant judge may be given: the
+    verdict of a class stands for every shift in it."""
+    judged = {}
+    for gens in canonical_generator_sets(monoid, bound):
+        key = class_key(gens)
+        if key not in judged:
+            judged[key] = judge(ideal_from_generators(monoid, key))
+        yield gens, key, judged[key]
+
+
 def search_nonprincipal_t_invertible(monoid: NumericalSemigroup, bound: int,
                                      progress=None) -> FractionalIdeal | None:
     """Sweep every canonical ideal with generators in [0, bound].
@@ -254,17 +231,13 @@ def search_nonprincipal_t_invertible(monoid: NumericalSemigroup, bound: int,
     if bound < 0:
         raise ValueError("bound must be non-negative")
     examined = 0
-    judged: dict[tuple[int, ...], bool] = {}
-    for gens in canonical_generator_sets(monoid, bound):
+    classes = _judged_classes(
+        monoid, bound, lambda y: not is_principal(y) and is_t_invertible(y))
+    for gens, _, invertible in classes:
         examined += 1
         if progress is not None and examined % 250 == 0:
             progress(examined, gens)
-        if len(gens) == 1:
-            continue
-        key = class_key(gens)
-        if key not in judged:
-            judged[key] = is_t_invertible(ideal_from_generators(monoid, key))
-        if judged[key]:
+        if invertible:
             return ideal_from_generators(monoid, gens)
     if progress is not None:
         progress(examined, None)

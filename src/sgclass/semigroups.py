@@ -177,10 +177,6 @@ class MonoidDescriptor:
     def kind(self) -> str:
         return "numerical" if self.semigroup is not None else "p_power_cone"
 
-    @property
-    def supports_ideal_arithmetic(self) -> bool:
-        return self.semigroup is not None
-
     def contains(self, value) -> bool:
         q = Fraction(value)
         if self.semigroup is not None:
@@ -212,16 +208,12 @@ class MonoidDescriptor:
 
 
 def parse_int_list(text: str) -> list[int]:
-    """Parse a comma-separated list of at least one integer; blank parts are
-    skipped, so ``2,,3`` reads as ``2,3``."""
-    message = f"expected a comma-separated integer list, got {text!r}"
+    """Parse a comma-separated list of at least one integer; a blank part,
+    as in ``2,,3`` or ``2,3,``, is refused."""
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ParseError(message) from exc
-    if not values:
-        raise ParseError(message)
-    return values
+        raise ParseError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
 def parse_monoid(text: str) -> MonoidDescriptor:

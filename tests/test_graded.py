@@ -18,7 +18,6 @@ from sgclass.graded import (
     GradedElement,
     IdealPair,
     content,
-    content_of_ideal,
     decompose_class,
     dedekind_mertens_exponent,
     extract_pair,
@@ -31,21 +30,13 @@ from sgclass.graded import (
     inverse_content_product_check,
     lift_coefficient_class,
     monomial,
-    multiply_ideals,
     pair_colon,
-    pair_contains,
-    pair_is_principal,
     pair_is_t_invertible,
-    pair_mul,
-    pair_t,
-    pair_to_homogeneous,
     pair_v,
     parse_element,
-    semigroup_ring_integrally_closed,
     transfer_criterion_report,
-    unit_pair,
 )
-from sgclass.semigroups import from_generators, parse_monoid
+from sgclass.semigroups import MonoidDescriptor, from_generators, parse_monoid
 
 Z = dom.CoefficientDomain.integers()
 Q = dom.CoefficientDomain.rationals()
@@ -184,7 +175,7 @@ def model_component_membership(ideal, beta, coeff):
 
 
 def test_homogeneous_membership_fixture():
-    i = content_of_ideal([parse_element(Z, S23, "2+3*X^2")])
+    i = homogeneous_ideal(Z, S23, [(2, 0), (3, 2)])
     assert not homogeneous_membership(i, parse_element(Z, S23, "X^2+X^3"))
     assert homogeneous_membership(i, parse_element(Z, S23, "2*X^3"))
     assert homogeneous_membership(i, parse_element(Z, S23, "X^2+2*X^3"))
@@ -201,11 +192,24 @@ def test_homogeneous_membership_matches_gcd_model():
                 model_component_membership(i, beta, coeff)
 
 
+def terms_ideal(x):
+    """The homogeneous ideal generated by the terms of x."""
+    return homogeneous_ideal(x.domain, x.monoid, [(b, g) for g, b in x.terms])
+
+
+def generator_products(i, j):
+    """The homogeneous ideal generated by the products of the generators of
+    i and j, which is the product ideal i*j."""
+    return homogeneous_ideal(i.domain, i.monoid, [(a1 * a2, g1 + g2)
+                                                  for a1, g1 in i.gens
+                                                  for a2, g2 in j.gens])
+
+
 def test_content_of_a_principal_homogeneous_product():
     h = homogeneous_ideal(Z, S23, [(1, 2)])
-    i = content_of_ideal([parse_element(Z, S23, "2+3*X^2")])
-    lhs = content_of_ideal([monomial(Z, S23, 2) * parse_element(Z, S23, "2+3*X^2")])
-    rhs = multiply_ideals(h, i)
+    x = parse_element(Z, S23, "2+3*X^2")
+    lhs = terms_ideal(monomial(Z, S23, 2) * x)
+    rhs = generator_products(h, terms_ideal(x))
     for beta in range(0, 10):
         for coeff in (-6, -3, -2, 1, 2, 3, 4, 6, 9):
             probe = monomial(Z, S23, beta, coeff)
@@ -216,7 +220,11 @@ def test_content_of_a_principal_homogeneous_product():
 def test_ideal_products_multiply_generators():
     i = homogeneous_ideal(Z, S23, [(2, 2)])
     j = homogeneous_ideal(Z, S23, [(3, 3), (5, 4)])
-    p = multiply_ideals(i, j)
+    p = generator_products(i, j)
+    x = parse_element(Z, S23, "2*X^2+4*X^4")
+    y = parse_element(Z, S23, "3*X^3-5*X^4+6*X^5")
+    assert homogeneous_membership(i, x) and homogeneous_membership(j, y)
+    assert homogeneous_membership(p, x * y)
     assert homogeneous_membership(p, parse_element(Z, S23, "6*X^5"))
     assert homogeneous_membership(p, parse_element(Z, S23, "10*X^6"))
     assert not homogeneous_membership(p, parse_element(Z, S23, "3*X^5"))
@@ -225,19 +233,20 @@ def test_ideal_products_multiply_generators():
 def test_pair_membership_worked_example():
     y0 = mid.ideal_from_generators(S23, [2, 3])
     two_pair = IdealPair(dom.ideal_from_generators(Z, [2]), y0)
-    assert pair_contains(two_pair, parse_element(Z, S23, "2*X^2"))
-    assert not pair_contains(two_pair, parse_element(Z, S23, "2*X"))
-    assert not pair_contains(two_pair, parse_element(Z, S23, "X^2"))
-    assert pair_contains(two_pair, parse_element(Z, S23, "0"))
-    up = unit_pair(Z, S23)
-    assert pair_contains(up, parse_element(Z, S23, "X^2"))
-    assert pair_mul(two_pair, up) == two_pair
+    h = homogeneous_ideal(Z, S23, [(2, 2), (2, 3)])
+    assert extract_pair(h, assume_divisorial=True) == two_pair
+    assert homogeneous_membership(h, parse_element(Z, S23, "2*X^2"))
+    assert not homogeneous_membership(h, parse_element(Z, S23, "2*X"))
+    assert not homogeneous_membership(h, parse_element(Z, S23, "X^2"))
+    assert homogeneous_membership(h, parse_element(Z, S23, "0"))
+    unit = homogeneous_ideal(Z, S23, [(1, 0)])
+    assert homogeneous_membership(unit, parse_element(Z, S23, "X^2"))
 
 
 def test_pair_colon_splits_componentwise():
     y0 = mid.ideal_from_generators(S23, [2, 3])
     two_pair = IdealPair(dom.ideal_from_generators(Z, [2]), y0)
-    q = pair_colon(unit_pair(Z, S23), two_pair)
+    q = pair_colon(IdealPair(dom.unit_ideal(Z), mid.unit_ideal(S23)), two_pair)
     assert q.coeff.scale == Fraction(1, 2)
     assert q.exps == mid.inverse(y0)
     assert q.exps.min_generators == (0, 1)
@@ -248,18 +257,18 @@ def test_pair_closures_are_componentwise():
     two_pair = IdealPair(dom.ideal_from_generators(Z, [2]), y0)
     assert pair_v(two_pair) == IdealPair(dom.v_closure(two_pair.coeff),
                                          mid.v_closure(y0))
-    assert pair_t(two_pair).exps == mid.t_closure(y0)
 
 
 def test_pair_invertibility_and_principality():
     p5 = IdealPair(dom.ideal_from_generators(D5, [2, D5.element(1, 1)]),
                    mid.unit_ideal(S1))
     assert pair_is_t_invertible(p5)
-    assert not pair_is_principal(p5)
+    assert dom.is_principal(p5.coeff) is None
     shift_pair = IdealPair(dom.ideal_from_generators(Z, [3]),
                            mid.ideal_from_generators(S23, [4]))
     assert pair_is_t_invertible(shift_pair)
-    assert pair_is_principal(shift_pair)
+    assert dom.is_principal(shift_pair.coeff) == 3
+    assert mid.is_principal(shift_pair.exps)
     y0_pair = IdealPair(dom.unit_ideal(Z),
                         mid.ideal_from_generators(S23, [2, 3]))
     assert not pair_is_t_invertible(y0_pair)
@@ -268,7 +277,7 @@ def test_pair_invertibility_and_principality():
 def test_extraction_recovers_clean_pairs():
     y0 = mid.ideal_from_generators(S23, [2, 3])
     two_pair = IdealPair(dom.ideal_from_generators(Z, [2]), y0)
-    assert extract_pair(pair_to_homogeneous(two_pair),
+    assert extract_pair(homogeneous_ideal(Z, S23, [(2, 2), (2, 3)]),
                         assume_divisorial=True) == two_pair
     single = homogeneous_ideal(D5, S23, [(D5.element(1, 1), 3)])
     sp = extract_pair(single, assume_divisorial=True)
@@ -337,7 +346,7 @@ def test_extraction_reports_a_mixed_ideal():
     assert bp.exps == mid.ideal_from_generators(S23, [2, 3])
     with pytest.raises(ExtractionError):
         extract_pair(bad, assume_divisorial=True)
-    assert pair_contains(bp, parse_element(Z, S23, "2*X^3"))
+    assert bp.coeff.contains(2) and bp.exps.contains(3)
     assert not homogeneous_membership(bad, parse_element(Z, S23, "2*X^3"))
 
 
@@ -353,7 +362,7 @@ def test_decomposition_splits_coefficient_and_monoid_parts():
 
 
 def test_trivial_class_markers():
-    triv = decompose_class(unit_pair(Z, S23))
+    triv = decompose_class(IdealPair(dom.unit_ideal(Z), mid.unit_ideal(S23)))
     assert triv.coeff_form is None
     assert homogeneous_class_is_trivial(triv)
     princ = lift_coefficient_class(
@@ -446,10 +455,12 @@ def test_inverse_content_product_reports(monkeypatch):
 
 
 def test_semigroup_ring_integral_closure():
-    assert semigroup_ring_integrally_closed(Z, S1)
-    assert not semigroup_ring_integrally_closed(Z, S23)
-    assert not semigroup_ring_integrally_closed(D3, S1)
-    assert semigroup_ring_integrally_closed(D5, S1)
+    """The monoid ring is integrally closed exactly when both factors are:
+    the first two conditions of the transfer criterion."""
+    for domain, sgp, closed in ((Z, S1, True), (Z, S23, False),
+                                (D3, S1, False), (D5, S1, True)):
+        report = transfer_criterion_report(domain, MonoidDescriptor.numerical(sgp), 4)
+        assert all(c["holds"] for c in report["conditions"][:2]) == closed
 
 
 def test_transfer_criterion_success_over_the_power_cone():

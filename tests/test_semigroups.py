@@ -142,7 +142,6 @@ def test_generators_past_the_window_cap_are_redundant():
 def test_parse_numerical():
     d = parse_monoid("4,6,9")
     assert d.kind == "numerical"
-    assert d.supports_ideal_arithmetic
     assert d.semigroup.generators == (4, 6, 9)
     assert d.contains(6)
     assert not d.contains(7)
@@ -158,7 +157,6 @@ def test_parse_scaled_membership_uses_original_coordinates():
 def test_parse_power_cone():
     d = parse_monoid("p^inf:2")
     assert d.kind == "p_power_cone"
-    assert not d.supports_ideal_arithmetic
     assert d.contains(Fraction(3, 4))
     assert d.contains(0)
     assert not d.contains(Fraction(1, 3))
@@ -204,9 +202,11 @@ def test_parse_power_cone_factors_the_prime_once(monkeypatch):
     assert type(info.value) is CapabilityError
 
 
-def test_parse_tolerates_blank_parts():
-    assert parse_monoid("2,,3").text() == "2,3"
+def test_parse_refuses_blank_parts():
     assert parse_monoid(" 2, 3 ").text() == "2,3"
+    for text in ("2,,3", "2,3,", ",2,3", "2, ,3"):
+        with pytest.raises(ParseError, match="comma-separated integer list"):
+            parse_monoid(text)
 
 
 def test_descriptor_requires_exactly_one_payload():

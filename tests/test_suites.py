@@ -2,7 +2,8 @@
 
 import pytest
 
-from sgclass.suites import SUITES, run_suites
+from sgclass import ideals as mid
+from sgclass.suites import SUITES, run_suites, suite_closure_identities
 
 
 def test_registry_names():
@@ -51,3 +52,13 @@ def test_suites_derive_distinct_child_seeds():
     a = run_suites(seed=0, trials=12, only="closure")[0]
     b = run_suites(seed=1, trials=12, only="closure")[0]
     assert a["failures"] == b["failures"] == 0
+
+
+def test_closure_suite_judges_the_t_closure_by_its_definition(monkeypatch):
+    """A t-closure off by one from the v-closure fails against the
+    subset-union oracle, ``suites.oracle_t_member``."""
+    v_closure = mid.v_closure
+    monkeypatch.setattr(mid, "t_closure", lambda y: v_closure(y).shift(1))
+    report = suite_closure_identities(0, 5)
+    assert report["failures"] == 6
+    assert report["checks"][-1]["status"] == "fail"
