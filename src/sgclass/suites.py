@@ -151,11 +151,11 @@ def suite_closure_identities(seed: int = 0, trials: int = 200) -> dict:
         y = _random_ideal(rng, sgp)
         z = _random_ideal(rng, sgp)
         n = rng.randint(-5, 5)
-        t = mid.t_closure(y)
+        tc = mid.t_closure(y)
         ok = (mid.v_closure(y.shift(n)) == mid.v_closure(y).shift(n)
               and mid.is_divisorial(mid.inverse(y))
-              and all(t.contains(g) == oracle_t_member(sgp, y.min_generators, g)
-                      for g in _window(t)))
+              and all(tc.contains(g) == oracle_t_member(sgp, y.min_generators, g)
+                      for g in _window(tc)))
         # (Y:Z) + Z lands inside Y_v
         q = mid.colon(y, z)
         s = mid.minkowski_sum(q, z)

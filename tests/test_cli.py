@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +167,28 @@ def test_t_closure_check_passes_on_many_generators(count):
     assert code == 0
     assert len(report["results"]["result"]["generators"]) == count
     assert statuses(report) == ["pass"]
+
+
+def _drop_top_member(y):
+    """y without the largest member of its window: no longer closed under
+    adding the multiplicity."""
+    return replace(y, window_bits=y.window_bits ^ (1 << (y.window_bits.bit_length() - 1)))
+
+
+@pytest.mark.parametrize("sgp", ["100,101", "300,301"])
+def test_t_closure_check_is_linear_in_the_conductor(sgp, monkeypatch):
+    """Conductors 9,900 and 89,700: the check passes in well under a second,
+    and still fails a t-closure shifted by one or missing one member."""
+    argv = ["sgp", "ideal", "--sgp", sgp, "--gens", "0,1", "--op", "t"]
+    started = time.monotonic()
+    code, report = cli.run(argv)
+    assert time.monotonic() - started < 1.0
+    assert code == 0 and statuses(report) == ["pass"]
+    real = mid.t_closure
+    for broken in (lambda y: real(y).shift(1), lambda y: _drop_top_member(real(y))):
+        monkeypatch.setattr(mid, "t_closure", broken)
+        code, report = cli.run(argv)
+        assert code == 1 and statuses(report) == ["fail"]
 
 
 def test_ex217_reports_a_failed_condition_on_a_nonmaximal_order():

@@ -430,7 +430,8 @@ def test_class_group_capability_limits():
             dom.domain_for_discriminant(disc)
     with pytest.raises(ValueError):
         dom.domain_for_discriminant(5)
-    # the largest fundamental discriminant past the cap, 2^24 + 3 = 3 mod 4
+    # the fundamental discriminant nearest the cap on the refused side:
+    # |D| = 2^24 + 3 = 1549 * 10831, so D = 1 mod 4 and squarefree
     past = -dom.MAX_DISCRIMINANT - 3
     with pytest.raises(CapabilityError, match="too large to list"):
         dom.reduced_forms(past)

@@ -61,4 +61,5 @@ def test_closure_suite_judges_the_t_closure_by_its_definition(monkeypatch):
     monkeypatch.setattr(mid, "t_closure", lambda y: v_closure(y).shift(1))
     report = suite_closure_identities(0, 5)
     assert report["failures"] == 6
+    assert report["checks"][0]["name"] == "trial 0 closure identities"
     assert report["checks"][-1]["status"] == "fail"
