@@ -109,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _numerical(text: str):
-    return parse_monoid(text).require_ideal_arithmetic()
+    descriptor = parse_monoid(text)
+    return descriptor.require_ideal_arithmetic()
 
 
 # --- sgp ---------------------------------------------------------------------
