@@ -152,11 +152,10 @@ def _is_v_closure(sgp, ygens, ideal) -> bool:
     inv = {h for h in range(-min(ygens), sgp.conductor - min(ygens) + m)
            if all(sgp.contains(h + e) for e in ygens)}
     least = [h for h in inv if h - m not in inv]   # Y^-1 is least + m*N
-    members = {ideal.min + i for i, b in enumerate(reversed(bin(ideal.window_bits))) if b == "1"}
-    member = lambda g: g >= ideal.stable_bound or g in members
     in_v = lambda g: all(sgp.contains(g + h) for h in least)
-    return all(member(g + m) and (member(g - m) or in_v(g) and not in_v(g - m))
-               for g in range(ideal.min, ideal.stable_bound + m) if member(g))
+    return all(ideal.contains(g + m)
+               and (ideal.contains(g - m) or in_v(g) and not in_v(g - m))
+               for g in range(ideal.min, ideal.stable_bound + m) if ideal.contains(g))
 
 
 def _cmd_sgp_ideal(args, seed, checks):

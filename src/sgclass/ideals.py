@@ -28,11 +28,6 @@ class FractionalIdeal:
     window_bits: int = field(repr=False)  # bit i set iff min + i is a member, for min + i < stable_bound
     min_generators: tuple[int, ...] = ()
 
-    @property
-    def window(self) -> tuple[int, ...]:
-        """Members in [min, stable_bound), smallest first."""
-        return tuple(self.min + i for i in _bit_positions(self.window_bits))
-
     def contains(self, g: int) -> bool:
         if g >= self.stable_bound:
             return True

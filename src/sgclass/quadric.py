@@ -55,14 +55,6 @@ class QuadricElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        result = one()
-        for _ in range(n):
-            result = result * self
-        return result
-
     def graded_components(self) -> dict[int, "QuadricElement"]:
         """Split by degree b - c; each part keeps the sorted normal form."""
         split: dict[int, list] = {}

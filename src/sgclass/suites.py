@@ -1,7 +1,9 @@
 """Randomized property suites with brute-force oracles.
 
 Each suite returns a plain report dict {name, trials, checks, failures} so the
-CLI and the test suite can share one implementation.  Oracles deliberately
+CLI and the test suite can share one implementation.  Every check either draws
+``trials`` random samples or runs over a fixed finite set that proves its
+property exactly; no check has a sample size of its own.  Oracles deliberately
 avoid the windowed-bitmask kernel: monoid-ideal membership is recomputed from
 generator lists and raw semigroup membership, quantifiers are truncated at
 exact bounds, and coefficient-ideal claims are probed through element
@@ -14,7 +16,7 @@ import functools
 import random
 import zlib
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from . import domains as dom
 from . import graded as grd
@@ -368,14 +370,14 @@ def suite_content(seed: int = 0, trials: int = 200) -> dict:
           f"x={fx.text()}, y={fy.text()}")
     # subadditivity: C(xy) inside C(x)C(y) on sampled quadratic pairs
     bad = 0
-    for _ in range(60):
+    for _ in range(trials):
         x = _random_poly(rng, d3, sgp)
         y = _random_poly(rng, d3, sgp)
         product = dom.mul(grd.content(x), grd.content(y))
         if not all(product.contains(b) for b in grd.content(x * y).basis_elements()):
             bad += 1
     check(checks, "content subadditivity over the non-maximal order", bad == 0,
-          f"{60 - bad}/60 pairs")
+          f"{trials - bad}/{trials} pairs")
     return _report("northcott", trials, checks)
 
 
@@ -436,19 +438,17 @@ def _random_quadric(rng: random.Random) -> qdr.QuadricElement:
     return qdr.from_terms(entries)
 
 
+# The (b, c) shapes of the monomials x^a y^b z^c that _random_quadric draws.
+_QUADRIC_SHAPES = ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2))
+
+
 @functools.cache
 def _subring_blocks() -> tuple:
-    """The subring members whose integer combinations the suite samples."""
+    """Subring members; the closure check tests each of them and each product
+    of two of them, which decides closure for all their integer combinations."""
     x = qdr.x_pow(1)
     return (qdr.one(), qdr.y_pow(1), qdr.z_pow(1), x * (x - 1),
             x * x * (x - 1), qdr.y_pow(2), qdr.z_pow(2), x * qdr.y_pow(1))
-
-
-def _random_subring_member(rng: random.Random) -> qdr.QuadricElement:
-    u = qdr.from_terms([])
-    for _ in range(rng.randint(1, 3)):
-        u = u + rng.randint(-3, 3) * rng.choice(_subring_blocks())
-    return u
 
 
 def suite_quadric(seed: int = 0, trials: int = 500) -> dict:
@@ -461,26 +461,29 @@ def suite_quadric(seed: int = 0, trials: int = 500) -> dict:
             bad += 1
     check(checks, "rewrite confluence: association and distribution", bad == 0,
           f"{trials - bad}/{trials} triples clean")
+    # in_subring tests membership in a Q-subspace and the product is bilinear,
+    # so every integer combination of blocks is a member and every product of
+    # two combinations is one once the blocks and their pairwise products are.
+    blocks = _subring_blocks()
+    products = [u * v for u, v in combinations_with_replacement(blocks, 2)]
+    members = sum(map(qdr.in_subring, blocks))
+    closed = sum(map(qdr.in_subring, products))
+    check(checks, "subring closed under products and sums",
+          members == len(blocks) and closed == len(products),
+          f"{members}/{len(blocks)} blocks and {closed}/{len(products)} "
+          f"block products in the subring")
+    # Rewriting y^m z^m to (x^2 - x)^m keeps the degree b - c whatever the
+    # x-exponent, and cancellation can only remove degrees, so one monomial
+    # per shape pair decides the check for every product of samples.
+    monomials = [qdr.from_terms([((0, b, c), 1)]) for b, c in _QUADRIC_SHAPES]
+    pairs = list(combinations_with_replacement(monomials, 2))
     bad = 0
-    for _ in range(200):
-        u, v = _random_subring_member(rng), _random_subring_member(rng)
-        if not (qdr.in_subring(u) and qdr.in_subring(v)):
-            bad += 1
-            continue
-        if not qdr.in_subring(u * v) or not qdr.in_subring(u + v):
-            bad += 1
-    check(checks, "subring closed under products and sums", bad == 0,
-          f"{200 - bad}/200 pairs clean")
-    bad = 0
-    for _ in range(100):
-        u, v = _random_quadric(rng), _random_quadric(rng)
-        du = set(u.graded_components())
-        dv = set(v.graded_components())
-        allowed = {a + b for a in du for b in dv}
+    for u, v in pairs:
+        allowed = {a + b for a in u.graded_components() for b in v.graded_components()}
         if not set((u * v).graded_components()) <= allowed:
             bad += 1
     check(checks, "product degrees are sums of factor degrees", bad == 0,
-          f"{100 - bad}/100 pairs clean")
+          f"{len(pairs) - bad}/{len(pairs)} shape pairs clean")
     report = qdr.verify_unit_identity()
     check(checks, "unit identity and the nine products",
           report["ok"], f"identity normal form: {report['identity_value']}")

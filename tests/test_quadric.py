@@ -4,7 +4,6 @@ against sympy in the function field where z becomes (x^2 - x)/y."""
 import random
 from fractions import Fraction
 
-import pytest
 import sympy
 
 from sgclass.quadric import (
@@ -45,8 +44,9 @@ def random_element(rng):
 
 def test_defining_relation_is_rewritten():
     assert y_pow(1) * z_pow(1) == x_pow(2) - x_pow(1)
-    assert y_pow(2) * z_pow(2) == (x_pow(2) - x_pow(1)) ** 2
-    assert y_pow(2) * z_pow(1) * z_pow(1) == (x_pow(2) - x_pow(1)) ** 2
+    square = (x_pow(2) - x_pow(1)) * (x_pow(2) - x_pow(1))
+    assert y_pow(2) * z_pow(2) == square
+    assert y_pow(2) * z_pow(1) * z_pow(1) == square
 
 
 def test_monomials_never_mix_both_cone_directions():
@@ -64,14 +64,14 @@ def test_multiplication_matches_function_field():
         assert sympy.simplify(lhs - rhs) == 0
 
 
-def test_addition_and_powers_match_function_field():
+def test_addition_and_squares_match_function_field():
     rng = random.Random(1)
     for _ in range(15):
         u, v = random_element(rng), random_element(rng)
         assert sympy.simplify(to_function_field(u + v)
                               - to_function_field(u)
                               - to_function_field(v)) == 0
-        assert sympy.simplify(to_function_field(u ** 2)
+        assert sympy.simplify(to_function_field(u * u)
                               - sympy.cancel(to_function_field(u) ** 2)) == 0
 
 
@@ -81,7 +81,7 @@ def test_arithmetic_keeps_coefficients_exact():
         # k / 2 is a float: it must enter as an exact Fraction or int
         u = from_terms([(m, k / 2) for m, k in random_element(rng).terms])
         v = random_element(rng)
-        for w in (u * v, u + v, u - v, u ** 2, 3 * u, 0.5 * u, u + u):
+        for w in (u * v, u + v, u - v, u * u, 3 * u, 0.5 * u, u + u):
             for _, k in w.terms:
                 assert type(k) is (int if k.denominator == 1 else Fraction)
     half = from_terms([((0, 0, 0), 0.5), ((0, 1, 1), Fraction(1, 2))])
@@ -159,7 +159,3 @@ def test_unit_identity_against_function_field():
         * (be_cd * be_cd - bd * bd + bd + bd)
     assert sympy.simplify(to_function_field(combo) - 1) == 0
 
-
-def test_pow_rejects_negative():
-    with pytest.raises(ValueError):
-        x_pow(1) ** -1

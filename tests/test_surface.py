@@ -2,6 +2,7 @@
 caller inside the package or is exported, so no API lives for tests alone."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import sgclass
@@ -22,29 +23,35 @@ def public_definitions(tree):
             yield node.name, node
 
 
-def referenced_names(node) -> list[str]:
-    """Every identifier that ``node`` reads, as a name or as an attribute."""
-    names = []
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.append(sub.id)
+def read_names(*nodes) -> tuple[Counter, Counter]:
+    """The identifiers that ``nodes`` read: (names loaded, attribute names)."""
+    loaded, attributes = Counter(), Counter()
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            loaded[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            names.append(sub.attr)
-    return names
+            attributes[sub.attr] += 1
+    return loaded, attributes
+
+
+def reads(names: tuple[Counter, Counter], name: str, method: bool) -> int:
+    """How often ``names`` read ``name``: a method only as an attribute
+    (``.name``), so a local variable of the same name does not count; a
+    function also as a loaded name."""
+    loaded, attributes = names
+    return attributes[name] + (0 if method else loaded[name])
 
 
 def callerless(trees: dict, exported: set) -> list[str]:
     """The public definitions that no code of ``trees`` reads outside their own
     body (so recursion does not count) and that ``exported`` does not name."""
-    everywhere: dict[str, int] = {}
-    for tree in trees.values():
-        for name in referenced_names(tree):
-            everywhere[name] = everywhere.get(name, 0) + 1
+    everywhere = read_names(*trees.values())
     found = []
     for module, tree in trees.items():
         for qualname, node in public_definitions(tree):
-            own = referenced_names(node).count(node.name)
-            if node.name not in exported and everywhere.get(node.name, 0) == own:
+            method = "." in qualname
+            own = reads(read_names(node), node.name, method)
+            if node.name not in exported and reads(everywhere, node.name, method) == own:
                 found.append(f"{module}.{qualname}")
     return found
 
@@ -56,7 +63,7 @@ def test_every_public_function_has_a_caller_or_is_exported():
 
 def test_the_guard_sees_a_function_without_a_caller():
     source = ("def helper():\n    return helper()\n\n"
-              "def used():\n    return 1\n\n"
+              "def used():\n    method = 1\n    return method\n\n"
               "def exported():\n    return 2\n\n"
               "class K:\n    def method(self):\n        return 3\n\n"
               "    def _private(self):\n        return 4\n\n"
