@@ -149,13 +149,12 @@ def _is_v_closure(sgp, ygens, ideal) -> bool:
     steps linear in the conductor: a set closed under adding the multiplicity m is Y_v iff
     in each class mod m its least member w lies in Y_v and w - m does not."""
     m = sgp.multiplicity
-    inv = {h for h in range(-min(ygens), sgp.conductor - min(ygens) + m)
-           if all(sgp.contains(h + e) for e in ygens)}
-    least = [h for h in inv if h - m not in inv]   # Y^-1 is least + m*N
-    in_v = lambda g: all(sgp.contains(g + h) for h in least)
-    return all(ideal.contains(g + m)
-               and (ideal.contains(g - m) or in_v(g) and not in_v(g - m))
-               for g in range(ideal.min, ideal.stable_bound + m) if ideal.contains(g))
+    in_v = suites.v_oracle(sgp, ygens)
+    window = enumerate(reversed(format(ideal.window_bits, "b")), ideal.min)
+    members = {g for g, bit in window if bit == "1"}
+    member = lambda g: g >= ideal.stable_bound or g in members
+    return all(member(g + m) and (member(g - m) or in_v(g) and not in_v(g - m))
+               for g in range(ideal.min, ideal.stable_bound + m) if member(g))
 
 
 def _cmd_sgp_ideal(args, seed, checks):

@@ -201,9 +201,6 @@ class QuadElement:
     def __sub__(self, other):
         return self + (-self._lift(other))
 
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
     def __mul__(self, other):
         o = self._lift(other)
         t, n = self.domain.omega_trace, self.domain.omega_norm
@@ -334,9 +331,6 @@ class CoeffIdeal:
         prefix = "" if self.scale == 1 else f"{self.scale}*"
         w = "w" if self.c == 1 else f"{self.c}*w"
         return f"{prefix}[{self.a}, {self.b}+{w}]"
-
-    def to_json(self) -> dict:
-        return {"scale": str(self.scale), "a": self.a, "b": self.b, "c": self.c}
 
 
 def unit_ideal(domain: CoefficientDomain) -> CoeffIdeal:
@@ -496,9 +490,6 @@ class QuadForm:
                 b = -b
             return QuadForm(a, b, c)
 
-    def inverse(self) -> "QuadForm":
-        return QuadForm(self.a, -self.b, self.c).reduced()
-
     def text(self) -> str:
         return f"({self.a},{self.b},{self.c})"
 
@@ -616,15 +607,6 @@ class ClassGroup:
             return f"Z/{self.order}Z"
         return (f"abelian of order {self.order} "
                 f"with exponent {self.invariants[-1]}")
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "structure": self.structure(),
-            "invariants": list(self.invariants),
-            "forms": [f.text() for f in self.forms],
-            "table": [list(row) for row in self.table],
-        }
 
 
 def _smith(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:

@@ -62,9 +62,6 @@ class GradedElement:
     def __sub__(self, other):
         return self + (-self._lift(other))
 
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
     def __neg__(self):
         return GradedElement(self.domain, self.monoid,
                              tuple((g, -b) for g, b in self.terms))
@@ -298,9 +295,6 @@ class IdealPair:
 
     def text(self) -> str:
         return f"{self.coeff.text()}[{self.exps.text()}]"
-
-    def to_json(self) -> dict:
-        return {"coeff": self.coeff.to_json(), "exps": self.exps.to_json()}
 
 
 def _require_compatible(p1: IdealPair, p2: IdealPair):

@@ -44,9 +44,6 @@ class QuadricElement:
     def __sub__(self, other):
         return self + (-self._lift(other))
 
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
     def __mul__(self, other):
         o = self._lift(other)
         return from_terms(((a1 + a2, b1 + b2, c1 + c2), k1 * k2)

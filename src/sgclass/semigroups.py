@@ -6,14 +6,13 @@ monoid always generates the full group of integers.  Its members in [0, size)
 are one int bit set, closed under each generator by doubling shifts; gaps,
 conductor, minimal generators and Apery sets are read off it, and a window
 wider than ``MAX_WINDOW_BITS`` is refused before it is built.  The p-power
-cone is the union of the chains (1/p^n)Z+ inside the rationals; it supports
-membership and closure queries only.
+cone is the union of the chains (1/p^n)Z+ inside the rationals; it only
+answers whether it is integrally closed (it is) and refuses ideal arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -153,7 +152,7 @@ class MonoidDescriptor:
 
     Exactly one of ``semigroup`` and ``prime`` is set.  Only the finitely
     generated numerical kind supports ideal arithmetic; the p-power cone
-    answers membership and closure questions and rejects everything else.
+    answers whether it is integrally closed and rejects everything else.
     """
 
     semigroup: NumericalSemigroup | None = None
@@ -176,20 +175,6 @@ class MonoidDescriptor:
     @property
     def kind(self) -> str:
         return "numerical" if self.semigroup is not None else "p_power_cone"
-
-    def contains(self, value) -> bool:
-        q = Fraction(value)
-        if self.semigroup is not None:
-            scaled = q / self.semigroup.scale
-            if scaled.denominator != 1:
-                return False
-            return self.semigroup.contains(int(scaled))
-        if q < 0:
-            return False
-        den = q.denominator
-        while den % self.prime == 0:
-            den //= self.prime
-        return den == 1
 
     def is_integrally_closed(self) -> bool:
         if self.semigroup is not None:

@@ -191,6 +191,19 @@ def test_t_closure_check_is_linear_in_the_conductor(sgp, monkeypatch):
         assert code == 1 and statuses(report) == ["fail"]
 
 
+def test_t_closure_check_builds_the_member_set_once(monkeypatch):
+    """Asking ``contains`` at each point of the window costs a big-int shift
+    per call, 180,901 calls here; the check reads the result's members once."""
+    calls = []
+    real = mid.FractionalIdeal.contains
+    monkeypatch.setattr(mid.FractionalIdeal, "contains",
+                        lambda self, g: calls.append(g) or real(self, g))
+    code, report = cli.run(["sgp", "ideal", "--sgp", "300,301", "--gens", "0,1",
+                            "--op", "t"])
+    assert code == 0 and statuses(report) == ["pass"]
+    assert len(calls) < 300   # fewer than one per class mod the multiplicity
+
+
 def test_ex217_reports_a_failed_condition_on_a_nonmaximal_order():
     code, report = cli.run(["demo", "ex217", "--domain", "Z[sqrt(-3)]"])
     assert code == 1

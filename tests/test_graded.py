@@ -129,7 +129,7 @@ def test_arithmetic_keeps_coefficients_exact():
         for _ in range(40):
             x = graded_element(domain, S23, _random_terms(rng, domain))
             y = graded_element(domain, S23, _random_terms(rng, domain))
-            for z in (x + y, x - y, x * y, -x, x * 0.5, 0.5 - y):
+            for z in (x + y, x - y, x * y, -x, x * 0.5, y - 0.5):
                 for b in z.coefficients:
                     parts = (b.x, b.y) if domain is D5 else (b,)
                     # int when integral, else Fraction; 0.5 must never leave a float

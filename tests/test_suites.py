@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from sgclass import domains as dom
+from sgclass import graded as grd
 from sgclass import ideals as mid
 from sgclass import quadric as qdr
 from sgclass import suites
+from sgclass.semigroups import from_generators
 from sgclass.suites import SUITES, run_suites, suite_closure_identities
 
 
@@ -60,7 +63,7 @@ def test_suites_derive_distinct_child_seeds():
 
 def test_closure_suite_judges_the_t_closure_by_its_definition(monkeypatch):
     """A t-closure off by one from the v-closure fails against the
-    subset-union oracle, ``suites.oracle_t_member``."""
+    subset-union oracle, ``suites.t_oracle``."""
     v_closure = mid.v_closure
     monkeypatch.setattr(mid, "t_closure", lambda y: v_closure(y).shift(1))
     report = suite_closure_identities(0, 5)
@@ -163,3 +166,125 @@ def test_quadric_and_content_suites_draw_only_trials_samples(monkeypatch, trials
     suites.suite_quadric(0, trials)
     suites.suite_content(0, trials)
     assert calls == {"_random_quadric": 3 * trials, "_random_poly": 6 * trials}
+
+
+# --- lemma23's componentwise judging against the grid loop it replaces ---
+
+def reference_v_member(sgp, ygens, g) -> bool:
+    """The pointwise v-oracle the suites used before: g + h must be a member
+    for every h of Y^-1, which it rescans at every point."""
+    lo = -max(ygens)
+    for h in range(lo, max(sgp.conductor - g, lo) + 1):
+        if suites.oracle_inverse_member(sgp, ygens, h) and not sgp.contains(g + h):
+            return False
+    return True
+
+
+def reference_pair_identities(seed: int, trials: int) -> dict:
+    """``suite_pair_identities`` with the grid loop it replaces: every point
+    (g, b) asks the coefficient and the exponent question again, and a trial
+    stops at the end of the first row past ``PROBES`` points."""
+    rng = suites._rng(seed, trials)
+    checks = []
+    for t in range(trials):
+        domain = rng.choice(suites._coeff_domain_pool())
+        sgp = suites._random_semigroup(rng)
+        j1, j2 = (suites._random_coeff_ideal(rng, domain) for _ in range(2))
+        y1, y2 = (suites._random_ideal(rng, sgp, span=8) for _ in range(2))
+        p1, p2 = grd.IdealPair(j1, y1), grd.IdealPair(j2, y2)
+        quotient = grd.pair_colon(p1, p2)
+        divisors = [(b, z) for b in j2.basis_elements() for z in y2.min_generators]
+        exps = list(suites._window(quotient.exps))
+        coeffs = suites._coeff_candidates(rng, domain, j1, quotient.coeff)
+        while len(exps) * len(coeffs) < suites.PROBES:
+            exps.append(exps[-1] + 1)
+            exps.insert(0, exps[0] - 1)
+        done = 0
+        failed = None
+        for g in exps:
+            for b in coeffs:
+                lhs = all(j1.contains(domain.coerce(b) * domain.coerce(bz))
+                          and y1.contains(g + z) for bz, z in divisors)
+                rhs = quotient.coeff.contains(b) and quotient.exps.contains(g)
+                done += 1
+                if lhs != rhs:
+                    failed = (b, g, lhs, rhs)
+                    break
+            if failed or done >= suites.PROBES and done >= len(exps):
+                break
+        pv = grd.pair_v(p1)
+        consistent = (pv.coeff == dom.v_closure(j1)
+                      and pv.exps == mid.v_closure(y1)
+                      and grd.pair_v(pv) == pv)
+        vcons = all(reference_v_member(sgp, y1.min_generators, g) == pv.exps.contains(g)
+                    for g in suites._window(pv.exps))
+        if failed or not consistent or not vcons:
+            detail = f"{domain.text()}, {sgp.text()}"
+            if failed:
+                detail += f", probe {failed}"
+            suites.check(checks, f"trial {t} split-pair identity", False, detail)
+    return {"checks": checks}
+
+
+def trial_failures(report) -> list[dict]:
+    return [c for c in report["checks"] if c["name"].startswith("trial ")]
+
+
+def shifted_exponent_colon(pair_colon):
+    def planted(p1, p2):
+        q = pair_colon(p1, p2)
+        return grd.IdealPair(q.coeff, q.exps.shift(1))
+    return planted
+
+
+def doubled_coefficient_colon(pair_colon):
+    def planted(p1, p2):
+        q = pair_colon(p1, p2)
+        two = dom.ideal_from_generators(q.coeff.domain, [2])
+        return grd.IdealPair(dom.mul(q.coeff, two), q.exps)
+    return planted
+
+
+def test_componentwise_lemma23_agrees_with_the_grid_loop():
+    for seed in range(21):
+        assert trial_failures(reference_pair_identities(seed, 10)) == []
+        report = suites.suite_pair_identities(seed, 10)
+        assert report["failures"] == 0
+        assert report["min_probes"] >= suites.PROBES
+
+
+@pytest.mark.parametrize("planted", [shifted_exponent_colon, doubled_coefficient_colon])
+def test_planted_colon_defects_fail_lemma23_on_every_seed(monkeypatch, planted):
+    """Each defect fails the componentwise check on every seed, and on more
+    trials than the grid loop, which stops early.  Where the grid loop catches
+    a trial too, both name the same first probe: they walk the grid in the
+    same row-major order."""
+    monkeypatch.setattr(grd, "pair_colon", planted(grd.pair_colon))
+    found = by_reference = 0
+    for seed in range(10):
+        failures = trial_failures(suites.suite_pair_identities(seed, 10))
+        reference = trial_failures(reference_pair_identities(seed, 10))
+        assert failures and all(c in failures for c in reference), seed
+        found += len(failures)
+        by_reference += len(reference)
+    assert found > by_reference
+
+
+def test_v_oracle_agrees_with_the_pointwise_reference():
+    rng = random.Random(0)
+    for gens in suites._SGP_POOL:
+        sgp = from_generators(gens)
+        for _ in range(30):
+            y = suites._random_ideal(rng, sgp)
+            in_v = suites.v_oracle(sgp, y.min_generators)
+            for g in suites._window(mid.v_closure(y)):
+                assert in_v(g) == reference_v_member(sgp, y.min_generators, g)
+
+
+def test_decomposition_judges_principality_without_is_principal(monkeypatch):
+    """An ``is_principal`` that calls no quadratic ideal principal moves the
+    lift and the decomposition alike; form reduction still sees it."""
+    is_principal = dom.is_principal
+    monkeypatch.setattr(dom, "is_principal", lambda i: (
+        None if i.domain.kind == "quadratic" else is_principal(i)))
+    assert suites.suite_decomposition(0, 100)["failures"] > 0
