@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .errors import CapabilityError, MismatchError, ParseError
 
@@ -434,17 +434,14 @@ def is_principal(i: CoeffIdeal):
     vmax = isqrt(4 * a * c // (-disc)) // c
     for v in range(0, vmax + 1):
         yy = v * c
+        # dx >= 0, as v <= vmax gives |disc|·yy^2 <= 4ac; and -t·yy ± root is
+        # even, as disc = t^2 - 4n makes root^2 = dx = (t·yy)^2 mod 4
         dx = 4 * target - (-disc) * yy * yy
-        if dx < 0:
-            continue
         root = isqrt(dx)
         if root * root != dx:
             continue
         for sign in (1, -1) if root else (1,):
-            num = -t * yy + sign * root
-            if num % 2:
-                continue
-            xx = num // 2
+            xx = (-t * yy + sign * root) // 2
             if (xx - v * b) % a:
                 continue
             return domain.element(xx * i.scale, yy * i.scale)
@@ -601,29 +598,31 @@ class ClassGroup:
         return self.forms.index(identity_form(self.domain.discriminant))
 
     def structure(self) -> str:
-        if not self.invariants:
-            return "trivial"
-        if len(self.invariants) == 1:
-            return f"Z/{self.order}Z"
-        return (f"abelian of order {self.order} "
-                f"with exponent {self.invariants[-1]}")
+        return _label(self.invariants)
 
 
-def _smith(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """The Smith normal form of a nonsingular square integer matrix M: the
-    diagonal d_1 | d_2 | ... (all > 0) and a unimodular V with U·M·V =
-    diag(d) for some unimodular U (Cohen, GTM 138, Alg. 2.4.14).  U is not
-    kept: Z^n / (rows of M) -> sum of Z/d_i is the map c -> c·V mod d."""
+def _label(invariants: tuple[int, ...]) -> str:
+    """The name of the sum of Z/d_i with invariant factors d_1 | d_2 | ..."""
+    if not invariants:
+        return "trivial"
+    if len(invariants) == 1:
+        return f"Z/{invariants[0]}Z"
+    return (f"abelian of order {prod(invariants)} "
+            f"with exponent {invariants[-1]}")
+
+
+def _smith(matrix: list[list[int]]) -> list[int]:
+    """The diagonal d_1 | d_2 | ... (all > 0) of the Smith normal form of a
+    nonsingular square integer matrix (Cohen, GTM 138, Alg. 2.4.14)."""
     n = len(matrix)
     a = [row[:] for row in matrix]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
     for t in range(n):
         while True:
             # a least nonzero entry of the lower right block becomes the pivot
             _, i, j = min((abs(a[i][j]), i, j) for i in range(t, n)
                           for j in range(t, n) if a[i][j])
             a[t], a[i] = a[i], a[t]
-            for row in a + v:
+            for row in a:
                 row[t], row[j] = row[j], row[t]
             p = a[t][t]
             for i in range(t + 1, n):          # row operations clear column t
@@ -631,7 +630,7 @@ def _smith(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
                 a[i] = [x - q * y for x, y in zip(a[i], a[t])]
             for j in range(t + 1, n):          # column operations clear row t
                 q = a[t][j] // p
-                for row in a + v:
+                for row in a:
                     row[j] -= q * row[t]
             if any(a[i][t] for i in range(t + 1, n)) or any(a[t][t + 1:]):
                 continue                       # a remainder: a smaller pivot
@@ -639,35 +638,31 @@ def _smith(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
             if not bad:
                 break
             a[t] = [x + y for x, y in zip(a[t], a[bad[0]])]
-    return [abs(a[t][t]) for t in range(n)], v
+    return [abs(a[t][t]) for t in range(n)]
 
 
-def class_group(domain: CoefficientDomain) -> ClassGroup:
-    """The form class group of a maximal imaginary quadratic order.
+def _extension(domain: CoefficientDomain):
+    """The form class group by cyclic extension (Cohen, GTM 138, §5.4;
+    Buchmann & Schmidt, Math. Comp. 74, 2005): the first reduced form g
+    outside the subgroup H built so far adds the cosets g^j·H, one
+    composition per new element, until g^k lands in H.  That costs h - 1
+    compositions and gives one relation g^k = (an element of H) per
+    generator; the Smith normal form of the relations gives the invariant
+    factors.
 
-    The group is built by cyclic extension (Cohen, GTM 138, §5.4; Buchmann
-    & Schmidt, Math. Comp. 74, 2005): the first reduced form g outside the
-    subgroup H built so far adds the cosets g^j·H, one composition per new
-    element, until g^k lands in H.  That costs h - 1 compositions and gives
-    one relation g^k = (an element of H) per generator; the Smith normal
-    form of the relations gives the invariant factors and coordinates in
-    the sum of Z/d_i.  The table is filled without composing: the row of
-    x·u, for u a unit vector, is the row of x permuted by translation by u.
-
-    >>> class_group(domain_for_discriminant(-231)).invariants
-    (2, 6)
+    Returns the reduced forms, the position of each form in the extension
+    order, one (n, k, position of g^k) per generator g, and the invariants.
     """
     if domain.kind != "quadratic":
         raise CapabilityError("class groups are computed for quadratic orders only")
     if not domain.maximal:
         raise CapabilityError("class groups are computed for maximal orders only")
     forms = tuple(reduced_forms(domain.discriminant))
-    h = len(forms)
     # elems[i + n*j] = g^j·elems[i] (i < n) for the generator g that was
     # added to the first n elements
     elems = [identity_form(domain.discriminant)]
     position = {elems[0]: 0}
-    extensions = []    # (n, k, position of g^k), one per generator g
+    extensions = []
     for g in forms:
         if g in position:
             continue
@@ -685,44 +680,47 @@ def class_group(domain: CoefficientDomain) -> ClassGroup:
     for t, (_, k, p) in enumerate(extensions):
         row = [-(p // n_s % k_s) for n_s, k_s, _ in extensions[:t]]
         relations.append(row + [k] + [0] * (len(extensions) - t - 1))
-    diagonal, v = _smith(relations)
-    kept = [j for j, d in enumerate(diagonal) if d > 1]
-    invariants = tuple(diagonal[j] for j in kept)
-    # coordinates over the kept factors, in elems order: g^j·x is g^(j-1)·x
-    # plus the image of g, the row of V that belongs to g
-    coords = [(0,) * len(kept)]
-    for (n, k, _), images in zip(extensions, v):
-        step = [images[j] for j in kept]
-        for i in range(n, n * k):
-            coords.append(tuple((c + s) % d for c, s, d in
-                                zip(coords[i - n], step, invariants)))
-    # a code is the coordinates in mixed radix: y_1 + d_1·(y_2 + d_2·(...))
-    weights = [1]
-    for d in invariants[:-1]:
-        weights.append(weights[-1] * d)
-    codes = [sum(y * w for y, w in zip(ys, weights)) for ys in coords]
-    form_codes = [codes[position[f]] for f in forms]
-    form_at = [0] * h
-    for i, c in enumerate(form_codes):
-        form_at[c] = i
-    # the codes in [w, w·d) are those whose last nonzero digit has weight w:
-    # the element of code c is the one of code c - w times the unit u of that
-    # digit, so its row is the row of c - w permuted by translation by u
-    rows = [tuple(range(h))]
-    for w, d in zip(weights, invariants):
-        shift = [form_at[c - (d - 1) * w if c // w % d == d - 1 else c + w]
-                 for c in form_codes]          # shift[i]: the index of forms[i]·u
-        for c in range(w, w * d):
-            prev = rows[c - w]
-            rows.append(tuple([prev[s] for s in shift]))
-    table = tuple(rows[c] for c in form_codes)
+    invariants = tuple(d for d in _smith(relations) if d > 1)
+    return forms, position, extensions, invariants
+
+
+def class_group(domain: CoefficientDomain) -> ClassGroup:
+    """The form class group of a maximal imaginary quadratic order.
+
+    The table is filled from the cyclic extension without composing: the
+    element at position x in [n, n·k) is the one at x - n times g, so its
+    row is that row followed by the "times g" permutation.  That permutation
+    moves each coset g^j·H to g^(j+1)·H, and the last coset wraps through
+    g^k, whose row is already built.
+
+    >>> class_group(domain_for_discriminant(-231)).invariants
+    (2, 6)
+    """
+    forms, position, extensions, invariants = _extension(domain)
+    h = len(forms)
+    at = [0] * h                      # at[x]: the forms index at position x
+    for i, f in enumerate(forms):
+        at[position[f]] = i
+    rows = [tuple(range(h))]          # rows[x]: the row of the form at x
+    for n, k, p in extensions:
+        # times[i]: the index of forms[i]·g.  A position x in the last coset
+        # holds y·g^(k-1) for y at x - (k-1)·n, and y·g^k is the entry of
+        # the row of g^k at y
+        times = [0] * h
+        for x in range(h):
+            times[at[x]] = at[x + n] if x // n % k < k - 1 else \
+                rows[p][at[x - (k - 1) * n]]
+        for x in range(n, n * k):
+            rows.append(tuple([times[i] for i in rows[x - n]]))
+    table = tuple(rows[position[f]] for f in forms)
     return ClassGroup(domain, forms, table, invariants)
 
 
 def describe_class_group(domain: CoefficientDomain) -> str:
+    """The name of the class group, from its invariants without a table."""
     if domain.kind in ("Q", "Z"):
         return "trivial"
-    return class_group(domain).structure()
+    return _label(_extension(domain)[3])
 
 
 def parse_domain(text: str) -> CoefficientDomain:

@@ -246,10 +246,6 @@ class HomogeneousIdeal:
     monoid: NumericalSemigroup
     gens: tuple[tuple[object, int], ...]    # (nonzero coefficient, exponent)
 
-    def text(self) -> str:
-        return "(" + ", ".join(monomial(self.domain, self.monoid, g, b).text()
-                               for b, g in self.gens) + ")"
-
 
 def homogeneous_ideal(domain: CoefficientDomain, monoid: NumericalSemigroup,
                       gens) -> HomogeneousIdeal:

@@ -303,44 +303,23 @@ def _random_poly(rng: random.Random, domain, sgp, max_terms=3):
 @functools.cache
 def northcott_search():
     """Exhaustive sweep for a pair with nonzero content exponent over the
-    non-maximal order of radicand -3, smallest coefficient shells first
-    (coordinates up to 3).  The answer is fixed, so it is computed once."""
+    non-maximal order of radicand -3: linear elements c0 + c1·X whose
+    coefficients have coordinates in [-1, 1].  The answer is fixed, so it is
+    computed once."""
     domain = dom.CoefficientDomain.z_sqrt(-3)
     sgp = from_generators([1])
+    pool = [domain.element(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if x or y]
+    linear = [grd.graded_element(domain, sgp, [(0, c0), (1, c1)])
+              for c0 in pool for c1 in pool]
     examined = 0
-    for bound in range(1, 4):
-        pool = [domain.element(x, y)
-                for x in range(-bound, bound + 1)
-                for y in range(-bound, bound + 1)
-                if x or y]
-        for support in ((0, 1), (0, 1, 2)):
-            pairs = _support_elements(domain, sgp, pool, support)
-            for x_elem in pairs:
-                for y_elem in pairs:
-                    examined += 1
-                    n = grd.dedekind_mertens_exponent(x_elem, y_elem)
-                    if n >= 1:
-                        return {"x": x_elem.text(), "y": y_elem.text(),
-                                "exponent": n, "examined": examined}
+    for x_elem in linear:
+        for y_elem in linear:
+            examined += 1
+            n = grd.dedekind_mertens_exponent(x_elem, y_elem)
+            if n >= 1:
+                return {"x": x_elem.text(), "y": y_elem.text(),
+                        "exponent": n, "examined": examined}
     return None
-
-
-def _support_elements(domain, sgp, pool, support):
-    out = []
-    if len(support) == 2:
-        for c0 in pool:
-            for c1 in pool:
-                out.append(grd.graded_element(
-                    domain, sgp, [(support[0], c0), (support[1], c1)]))
-    else:
-        small = pool[: max(4, len(pool) // 6)]
-        for c0 in small:
-            for c1 in small:
-                for c2 in small:
-                    out.append(grd.graded_element(
-                        domain, sgp, [(support[0], c0), (support[1], c1),
-                                      (support[2], c2)]))
-    return out
 
 
 def suite_content(seed: int = 0, trials: int = 200) -> dict:

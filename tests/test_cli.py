@@ -338,6 +338,58 @@ def test_main_prints_errors_to_stderr(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_power_cone_info_skips_ideal_arithmetic():
+    code, report = cli.run(["sgp", "info", "--sgp", "p^inf:2"])
+    assert code == 0
+    assert report["results"] == {"monoid": "p^inf:2", "kind": "p_power_cone",
+                                 "integrally_closed": True}
+    assert report["checks"] == [{"name": "ideal arithmetic unsupported on this monoid",
+                                 "status": "skipped",
+                                 "detail": "integral closedness only"}]
+
+
+@pytest.mark.parametrize("gens, gens2", [
+    ([0, 4], [2, 5]), ([-1, 3, 8], [0, 2]), ([0, 4], None), ([2, 3, 7], None)])
+def test_ideal_colon_and_inverse_match_the_set_model(gens, gens2):
+    """The reported generators are the minimal members of the set-model ideal
+    (Y : Z), or S : Y without --gens2: members g with no g - a a member, for
+    each atom a of the semigroup."""
+    sgp = from_generators([3, 5, 7])
+    argv = ["sgp", "ideal", "--sgp", "3,5,7", "--gens", ",".join(map(str, gens))]
+    if gens2 is None:
+        argv += ["--op", "inverse"]
+        oracle = lambda g: suites.oracle_inverse_member(sgp, gens, g)
+    else:
+        argv += ["--gens2", ",".join(map(str, gens2)), "--op", "colon"]
+        oracle = lambda g: suites.oracle_colon_member(sgp, gens, gens2, g)
+    code, report = cli.run(argv)
+    assert code == 0
+    generators = report["results"]["result"]["generators"]
+    result = mid.ideal_from_generators(sgp, generators)
+    window = suites._window(result)
+    members = {g for g in window if oracle(g)}
+    assert members == {g for g in window if result.contains(g)}
+    assert generators == sorted(g for g in members
+                                if all(g - a not in members for a in sgp.generators))
+
+
+def test_ex218_lists_non_divisorial_counterexamples():
+    code, report = cli.run(["demo", "ex218", "--sgp", "3,4,5", "--bound", "8"])
+    assert code == 1
+    sgp = from_generators([3, 4, 5])
+    nondivisorial = []
+    for gens in mid.canonical_generator_sets(sgp, 8):
+        y = mid.ideal_from_generators(sgp, gens)
+        v = suites.v_oracle(sgp, list(gens))
+        if any(v(g) != y.contains(g) for g in suites._window(y)):
+            nondivisorial.append(y.text())
+    assert len(nondivisorial) >= 3
+    first = report["checks"][0]
+    assert first["name"] == "every enumerated ideal is divisorial"
+    assert first["status"] == "fail"
+    assert first["detail"] == f"counterexamples: {nondivisorial[:3]}"
+
+
 def test_ex218_search_is_the_witness_of_the_sweep(monkeypatch):
     sgp = from_generators([3, 5])
     nonprincipal = [y for y in (mid.ideal_from_generators(sgp, gens)
@@ -476,11 +528,14 @@ def test_search_runs_one_sweep(monkeypatch):
 
 
 def test_ex217_builds_one_class_group(monkeypatch):
-    groups = _counting(monkeypatch, dom, "class_group")
+    """The conclusion's label comes from one cyclic extension, with no table."""
+    extensions = _counting(monkeypatch, dom, "_extension")
+    tables = _counting(monkeypatch, dom, "class_group")
     code, report = cli.run(["demo", "ex217", "--domain", "O[sqrt(-23)]"])
     assert code == 0
     assert "Z/3Z" in report["results"]["conclusion"]
-    assert len(groups) == 1
+    assert len(extensions) == 1
+    assert tables == []
 
 
 def test_northcott_search_is_computed_once():

@@ -167,6 +167,28 @@ def test_principal_recognition_returns_a_generator():
     assert dom.ideal_from_generators(D5, [found]) == i
 
 
+@pytest.mark.parametrize("disc", [-20, -23, -84, -231])
+def test_principal_form_ideals_are_those_of_the_identity_class(disc):
+    """Every form ideal [a, (-b+sqrt(D))/2] with a <= 30 is principal exactly
+    when its form reduces to the identity, and then the returned element
+    generates it."""
+    domain = dom.domain_for_discriminant(disc)
+    identity = dom.identity_form(disc)
+    seen = set()
+    for a in range(1, 31):
+        for b in range(-a + 1, a + 1):
+            if (b * b - disc) % (4 * a):
+                continue
+            i = dom.form_to_ideal(domain, dom.QuadForm(a, b, (b * b - disc) // (4 * a)))
+            generator = dom.is_principal(i)
+            principal = dom.ideal_to_form(i) == identity
+            assert (generator is not None) == principal, (a, b)
+            if principal:
+                assert dom.ideal_from_generators(domain, [generator]) == i
+            seen.add(principal)
+    assert seen == {True, False}
+
+
 def test_fractional_scale_keeps_integer_content_in_the_triple():
     two = dom.ideal_from_generators(D5, [2])
     assert (two.scale, two.a, two.b, two.c) == (1, 2, 0, 2)
@@ -315,6 +337,16 @@ def test_class_group_structures():
         assert group.structure() == structure
         assert dom.describe_class_group(dom.domain_for_discriminant(disc)) == \
             structure
+
+
+def test_class_group_labels_need_no_table(monkeypatch):
+    def refuse(domain):
+        raise AssertionError("the label was read from a table")
+
+    monkeypatch.setattr(dom, "class_group", refuse)
+    for disc, structure in ((-23, "Z/3Z"), (-84, "abelian of order 4 with exponent 2"),
+                            (-231, "abelian of order 12 with exponent 6")):
+        assert dom.describe_class_group(dom.domain_for_discriminant(disc)) == structure
 
 
 def test_class_group_table_is_a_group():

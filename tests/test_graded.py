@@ -379,6 +379,14 @@ def test_decomposition_capability_limits():
     k = dom.ideal_from_generators(D3, [2, D3.element(1, 1)])
     with pytest.raises(CapabilityError):
         lift_coefficient_class(k, S1)
+    # (3, sqrt(-15)) is invertible and not principal in Z[sqrt(-15)], the
+    # order of discriminant -60 (class number 2), which is not maximal
+    d15 = dom.CoefficientDomain.z_sqrt(-15)
+    p3 = dom.ideal_from_generators(d15, [3, d15.element(0, 1)])
+    assert dom.mul(p3, dom.inverse(p3)) == dom.unit_ideal(d15)
+    assert dom.is_principal(p3) is None
+    with pytest.raises(CapabilityError, match="maximal order"):
+        decompose_class(IdealPair(p3, mid.unit_ideal(S1)))
 
 
 def test_content_exponent_vanishes_over_gcd_domains():
