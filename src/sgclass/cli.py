@@ -17,7 +17,7 @@ from . import ideals as mid
 from . import quadric as qdr
 from . import suites
 from .errors import ExponentCapError, ParseError
-from .semigroups import parse_int_list, parse_monoid
+from .semigroups import _bit_positions, parse_int_list, parse_monoid
 from .suites import check
 
 SEED_ENV = "SGCLASS_SEED"
@@ -148,13 +148,10 @@ def _is_v_closure(sgp, ygens, ideal) -> bool:
     """Whether ``ideal`` is Y_v = (S : Y^-1) for the Y that ``ygens`` generate, by sets in
     steps linear in the conductor: a set closed under adding the multiplicity m is Y_v iff
     in each class mod m its least member w lies in Y_v and w - m does not."""
-    m = sgp.multiplicity
+    m, members = sgp.multiplicity, ideal.members
     in_v = suites.v_oracle(sgp, ygens)
-    window = enumerate(reversed(format(ideal.window_bits, "b")), ideal.min)
-    members = {g for g, bit in window if bit == "1"}
-    member = lambda g: g >= ideal.stable_bound or g in members
-    return all(member(g + m) and (member(g - m) or in_v(g) and not in_v(g - m))
-               for g in range(ideal.min, ideal.stable_bound + m) if member(g))
+    least = (ideal.min + i for i in _bit_positions(members & ~(members << m)))
+    return not members & ~(members >> m) and all(in_v(w) and not in_v(w - m) for w in least)
 
 
 def _cmd_sgp_ideal(args, seed, checks):

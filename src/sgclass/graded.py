@@ -417,11 +417,6 @@ def dedekind_mertens_exponent(x: GradedElement, y: GradedElement) -> int:
         f"no exponent up to {cap} balances the contents of {x.text()} and {y.text()}")
 
 
-def gauss_check(x: GradedElement, y: GradedElement) -> bool:
-    """Does content multiply exactly on this pair?"""
-    return content(x * y) == dom.mul(content(x), content(y))
-
-
 def inverse_content_product_check(a: GradedElement) -> dict:
     """Check that a*b*X^g lies in the monoid ring for every basis element b of
     C(a)^-1 and every minimal generator g of E(a)^-1, the inverses of the

@@ -1,12 +1,12 @@
-"""Fractional ideals of a numerical semigroup, in windowed canonical form.
+"""Fractional ideals of a numerical semigroup, as minimal generators and members.
 
 A fractional ideal Y of the monoid G is a set of integers with Y + G inside Y
 that is bounded below and eventually contains every integer.  It is stored as
-its minimum, a bitmap window of members, and the stable bound past which every
-integer belongs.  The canonical stable bound is max(minimal generators) plus
-the conductor, which makes structural equality coincide with set equality.
+its minimal generators and one int of members, bit i set iff min + i belongs.
+Its ones run to infinity, so the int is negative, and equal sets give equal
+ints: structural equality is set equality with no bound to canonicalize.
 Operations are arithmetic on member bit sets (sum: OR of shifted semigroup
-windows, colon: AND of shifted windows) and one canonicalizer reads the minimal
+members, colon: AND of shifted members) and one canonicalizer reads the minimal
 generators of a bit set B as B & ~OR(B << g) over the monoid's generators g.
 Definitions as in Rosales & Garcia-Sanchez, *Numerical Semigroups* (2009).
 """
@@ -23,25 +23,24 @@ from .semigroups import MAX_WINDOW_BITS, NumericalSemigroup, _bit_positions
 @dataclass(frozen=True)
 class FractionalIdeal:
     monoid: NumericalSemigroup
-    min: int
-    stable_bound: int
-    window_bits: int = field(repr=False)  # bit i set iff min + i is a member, for min + i < stable_bound
-    min_generators: tuple[int, ...] = ()
+    min_generators: tuple[int, ...]
+    members: int = field(repr=False)  # bit i set iff min + i is a member; negative
+
+    @property
+    def min(self) -> int:
+        return self.min_generators[0]
+
+    @property
+    def stable_bound(self) -> int:  # every integer from here on is a member
+        return self.min_generators[-1] + self.monoid.conductor
 
     def contains(self, g: int) -> bool:
-        if g >= self.stable_bound:
-            return True
         if g < self.min:
             return False
-        return bool((self.window_bits >> (g - self.min)) & 1)
+        return bool((self.members >> (g - self.min)) & 1)
 
     def shift(self, offset: int) -> "FractionalIdeal":
-        return replace(
-            self,
-            min=self.min + offset,
-            stable_bound=self.stable_bound + offset,
-            min_generators=tuple(m + offset for m in self.min_generators),
-        )
+        return replace(self, min_generators=tuple(m + offset for m in self.min_generators))
 
     def text(self) -> str:
         gens = ",".join(str(m) for m in self.min_generators)
@@ -69,24 +68,17 @@ def ideal_from_generators(monoid: NumericalSemigroup, gens) -> FractionalIdeal:
     bits = 0
     for f in cleaned:
         bits |= gamma << (f - lo)
-    return _canonical(monoid, lo, hi, bits)
+    return _canonical(monoid, lo, bits | (-1 << (hi - lo)))
 
 
-def _members(y: FractionalIdeal) -> int:
-    """Bit i set iff y.min + i is a member; negative, its ones run to infinity."""
-    return y.window_bits | (-1 << (y.stable_bound - y.min))
-
-
-def _canonical(monoid: NumericalSemigroup, lo: int, hi: int, bits: int) -> FractionalIdeal:
-    """The ideal {lo + i : bit i of bits} | [hi, oo); bits must be exact below hi."""
-    bits |= -1 << (hi - lo)
+def _canonical(monoid: NumericalSemigroup, lo: int, bits: int) -> FractionalIdeal:
+    """The ideal {lo + i : bit i of bits}; bits is negative, the set's
+    infinite tail included."""
     covered = 0
     for g in monoid.generators:
         covered |= bits << g
     gens = [lo + i for i in _bit_positions(bits & ~covered)]
-    start, stable = gens[0], gens[-1] + monoid.conductor
-    window = (bits >> (start - lo)) & ((1 << (stable - start)) - 1)
-    return FractionalIdeal(monoid, start, stable, window, tuple(gens))
+    return FractionalIdeal(monoid, tuple(gens), bits >> (gens[0] - lo))
 
 
 @lru_cache(maxsize=128)
@@ -110,11 +102,10 @@ def minkowski_sum(y: FractionalIdeal, z: FractionalIdeal) -> FractionalIdeal:
 def colon(y: FractionalIdeal, z: FractionalIdeal) -> FractionalIdeal:
     """(y : z) = every g with g + z inside y, the meet of y - e over z's generators e."""
     monoid = _require_same_monoid(y, z)
-    members = _members(y)
-    acc = members
+    acc = -1
     for e in z.min_generators:
-        acc &= members >> (e - z.min)
-    return _canonical(monoid, y.min - z.min, y.stable_bound - z.min, acc)
+        acc &= y.members >> (e - z.min)
+    return _canonical(monoid, y.min - z.min, acc)
 
 
 def inverse(y: FractionalIdeal) -> FractionalIdeal:
@@ -171,9 +162,8 @@ def canonical_generator_sets(monoid: NumericalSemigroup, bound: int):
     Candidate sets are gap bit sets: with G the gaps, the elements that may
     precede ``top`` start as top - G, and choosing e keeps only G << e.
     """
-    gaps = 0
-    for g in monoid.gaps:
-        gaps |= 1 << g
+    c = monoid.conductor
+    gaps = ((1 << c) - 1) ^ monoid.member_bits(c)
 
     def extend(prefix: tuple[int, ...], top: int, candidates: int):
         while candidates:

@@ -36,9 +36,12 @@ class NumericalSemigroup:
     generators: tuple[int, ...]
     scale: int
     gaps: tuple[int, ...]
-    frobenius: int
     conductor: int
     _gap_set: frozenset[int] = field(repr=False, compare=False, hash=False)
+
+    @property
+    def frobenius(self) -> int:
+        return self.conductor - 1
 
     @property
     def multiplicity(self) -> int:
@@ -142,8 +145,8 @@ def from_generators(raw) -> NumericalSemigroup:
     conductor = (~reach & ((1 << size) - 1)).bit_length()
     members = format(reach, "b")[::-1]
     gaps = tuple(i for i in range(conductor) if members[i] == "0")
-    return NumericalSemigroup(tuple(minimal), scale, gaps, frobenius=conductor - 1,
-                              conductor=conductor, _gap_set=frozenset(gaps))
+    return NumericalSemigroup(tuple(minimal), scale, gaps, conductor,
+                              _gap_set=frozenset(gaps))
 
 
 @dataclass(frozen=True)

@@ -170,9 +170,10 @@ def test_t_closure_check_passes_on_many_generators(count):
 
 
 def _drop_top_member(y):
-    """y without the largest member of its window: no longer closed under
-    adding the multiplicity."""
-    return replace(y, window_bits=y.window_bits ^ (1 << (y.window_bits.bit_length() - 1)))
+    """y without its largest member below the stable bound: no longer closed
+    under adding the multiplicity."""
+    below = y.members & ((1 << (y.stable_bound - y.min)) - 1)
+    return replace(y, members=y.members ^ (1 << (below.bit_length() - 1)))
 
 
 @pytest.mark.parametrize("sgp", ["100,101", "300,301"])

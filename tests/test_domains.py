@@ -244,8 +244,11 @@ def test_form_reduction_properties():
     assert f.discriminant == -11
     r = f.reduced()
     assert r == dom.QuadForm(1, 1, 3)
-    assert r.is_reduced and r.discriminant == -11
+    assert r.is_reduced() and r.discriminant == -11
     assert r.reduced() == r
+    # one form outside each branch: |b| <= a <= c, then b < 0 with |b| = a or a = c
+    for bad in ((15, 47, 37), (2, -2, 3), (3, -1, 3)):
+        assert not dom.QuadForm(*bad).is_reduced()
 
 
 def test_reduced_forms_frozen_tables():

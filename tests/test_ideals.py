@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgclass import ideals as mid
-from sgclass.suites import _window, t_oracle
+from sgclass.suites import _window, oracle_member, t_oracle
 from sgclass.errors import MismatchError
 from sgclass.semigroups import from_generators
 
@@ -45,6 +45,28 @@ def test_canonical_window_fixture():
     assert y.min_generators == (2, 3)
     assert [g for g in range(y.min, y.stable_bound) if y.contains(g)] == [2, 3, 4]
     assert [g for g in range(0, 8) if y.contains(g)] == [2, 3, 4, 5, 6, 7]
+
+
+@given(st.sampled_from(POOL),
+       st.lists(st.integers(min_value=-8, max_value=12), min_size=1, max_size=4))
+def test_members_is_the_whole_set_as_a_negative_int(monoid, gens):
+    y = mid.ideal_from_generators(monoid, gens)
+    assert y.members < 0
+    for g in range(y.min, y.stable_bound + monoid.conductor):
+        assert (y.members >> (g - y.min)) & 1 == oracle_member(monoid, gens, g)
+
+
+@given(st.sampled_from(POOL),
+       st.lists(st.integers(min_value=-8, max_value=12), min_size=1, max_size=4),
+       st.integers(min_value=-9, max_value=9))
+def test_one_set_by_any_route_is_one_ideal(monoid, gens, n):
+    """Equal sets are equal ideals with equal hashes, however they were built."""
+    y = mid.ideal_from_generators(monoid, gens)
+    unit = mid.unit_ideal(monoid)
+    routes = (mid.ideal_from_generators(monoid, gens + [max(gens) + monoid.conductor]),
+              mid.colon(y, unit), mid.minkowski_sum(y, unit), y.shift(n).shift(-n))
+    for other in routes:
+        assert other == y and hash(other) == hash(y)
 
 
 def test_redundant_generators_collapse():

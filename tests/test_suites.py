@@ -195,7 +195,8 @@ def reference_pair_identities(seed: int, trials: int) -> dict:
         quotient = grd.pair_colon(p1, p2)
         divisors = [(b, z) for b in j2.basis_elements() for z in y2.min_generators]
         exps = list(suites._window(quotient.exps))
-        coeffs = suites._coeff_candidates(rng, domain, j1, quotient.coeff)
+        coeffs = suites._coeff_candidates(rng, domain, j1, quotient.coeff) \
+            + suites._basis_quotients(domain, j1, j2)
         while len(exps) * len(coeffs) < suites.PROBES:
             exps.append(exps[-1] + 1)
             exps.insert(0, exps[0] - 1)
@@ -268,6 +269,24 @@ def test_planted_colon_defects_fail_lemma23_on_every_seed(monkeypatch, planted):
         found += len(failures)
         by_reference += len(reference)
     assert found > by_reference
+
+
+def test_doubled_coefficient_colon_fails_every_trial_over_z(monkeypatch):
+    """2·(J1 : J2) is too small over Z, and the candidates a·b^-1 from the
+    bases of J1 and J2 hold the generator of the true colon, so no Z trial
+    passes by chance."""
+    planted = doubled_coefficient_colon(grd.pair_colon)
+    kinds = []
+    monkeypatch.setattr(grd, "pair_colon", lambda p1, p2: (
+        kinds.append(p1.coeff.domain.kind) or planted(p1, p2)))
+    z_trials = 0
+    for seed in range(10):
+        kinds.clear()
+        failures = trial_failures(suites.suite_pair_identities(seed, 10))
+        over_z = {f"trial {t} split-pair identity" for t, k in enumerate(kinds) if k == "Z"}
+        assert {c["name"] for c in failures if c["detail"].startswith("Z,")} == over_z, seed
+        z_trials += len(over_z)
+    assert z_trials == 33
 
 
 def test_v_oracle_agrees_with_the_pointwise_reference():
