@@ -4,13 +4,16 @@ Quadratic orders are Z[w] with w = sqrt(d) for squarefree d < 0, or
 w = (1+sqrt(d))/2 for the maximal order when d = 1 mod 4.  Every fractional
 ideal, of any of the three domains, is one record: a positive rational scale
 times an integer basis [a, b+c*w].  Over a quadratic order the basis spans a
-full rank-2 lattice closed under multiplication by w, in upper-triangular
-normal form: a, c > 0, c | a, c | b, 0 <= b < a.  Over Z and Q the ideal has
-rank one: a = c = 1 and b = 0, and the ideal is the principal ideal (scale),
-with scale 1 over Q.  Ideal operations are therefore scale arithmetic over Q
-and Z and lattice arithmetic over quadratic orders.  All arithmetic is exact,
-under the one scalar rule of the package, owned here by ``exact``: an int when
-integral, else a Fraction, never a float; ``divide`` is the one division.
+full rank-2 lattice L closed under multiplication by w, the scale is 1/D for
+the least positive integer D with D*L integral, and [a, b+c*w] is D*L in
+upper-triangular normal form, content included: a, c > 0, c | a, c | b,
+0 <= b < a.  Over Z and Q the ideal has rank one: a = c = 1 and b = 0, and
+the ideal is the principal ideal (scale), with scale 1 over Q.  Ideal
+operations are therefore scale arithmetic over Q and Z, and integer lattice
+arithmetic with one rational scale over quadratic orders.  All arithmetic is
+exact, under the one scalar rule of the package, owned here by ``exact``: an
+int when integral, else a Fraction, never a float; ``divide`` is the one
+division.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ def exact(value) -> int | Fraction:
     """
     if type(value) is int:
         return value
-    q = Fraction(value)
+    q = value if type(value) is Fraction else Fraction(value)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -234,10 +237,12 @@ class QuadElement:
         return f"{self.x}{sep}{ytext}"
 
 
-# Lattice plumbing.  A full-rank lattice in Q^2 (coordinates: coefficient of 1,
-# coefficient of w) is reduced to (scale, a, b, c) with basis scale*(a, 0) and
-# scale*(b, c); the scale is the unique positive rational making the integer
-# triple primitive against it, so the representation is canonical.
+# Lattice plumbing, on integers.  A full-rank lattice L in Q^2 (coordinates:
+# coefficient of 1, coefficient of w) is stored as (scale, a, b, c) with basis
+# scale*(a, 0) and scale*(b, c): scale = 1/D for the least positive integer D
+# with D*L inside Z^2, and (a, b, c) the Hermite normal form of D*L, content
+# left in, so (3/2) over Z[sqrt(-5)] is 1/2*[3, 0+3*w].  The kernels work on
+# the integer triples and build the one result scale in ``_lattice``.
 
 def _hnf_int(vectors: list[tuple[int, int]]) -> tuple[int, int, int]:
     b = c = 0
@@ -261,32 +266,20 @@ def _hnf_int(vectors: list[tuple[int, int]]) -> tuple[int, int, int]:
     return a, b % a, c
 
 
-def _hnf_rational(vectors) -> tuple[int | Fraction, int, int, int]:
-    den = lcm(*(v.denominator for xy in vectors for v in xy))
-    a, b, c = _hnf_int([(int(x * den), int(y * den)) for x, y in vectors])
-    g = gcd(gcd(a, b), c)
-    k = gcd(den, g)
-    return divide(k, den), a // k, b // k, c // k
+def _times(t: int, n: int, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """(x1 + y1*w)(x2 + y2*w) on integer coordinates, as w^2 = t*w - n."""
+    (x1, y1), (x2, y2) = u, v
+    return x1 * x2 - n * y1 * y2, x1 * y2 + y1 * x2 + t * y1 * y2
 
 
-def _in_triple(a: int, b: int, c: int, x, y) -> bool:
-    k = divide(y, c)
-    return k.denominator == 1 and divide(x - k * b, a).denominator == 1
+def _in_triple(a: int, b: int, c: int, x: int, y: int) -> bool:
+    return y % c == 0 and (x - y // c * b) % a == 0
 
 
 def _omega_closed(domain: CoefficientDomain, a: int, b: int, c: int) -> bool:
     t, n = domain.omega_trace, domain.omega_norm
     return (_in_triple(a, b, c, 0, a)
             and _in_triple(a, b, c, -c * n, b + c * t))
-
-
-def _dual_basis(b1, b2):
-    # rows of the inverse-transpose of the basis matrix [b1; b2]
-    (p, q), (r, s) = (b1, b2)
-    det = p * s - q * r
-    if not det:
-        raise ValueError("degenerate lattice")
-    return (divide(s, det), divide(-r, det)), (divide(-q, det), divide(p, det))
 
 
 @dataclass(frozen=True)
@@ -315,10 +308,13 @@ class CoeffIdeal:
         v = self.domain.coerce(value)
         if self.domain.kind != "quadratic":
             return self.domain.is_integral_element(divide(v, self.scale))
-        if not v:
-            return True
-        return _in_triple(self.a, self.b, self.c,
-                          divide(v.x, self.scale), divide(v.y, self.scale))
+        # v / scale in [a, b+c*w], both sides times e = p*xd*yd for
+        # scale = p/q, v.x = xn/xd and v.y = yn/yd
+        p, q, x, y = self.scale.numerator, self.scale.denominator, v.x, v.y
+        e = p * x.denominator * y.denominator
+        return _in_triple(e * self.a, e * self.b, e * self.c,
+                          q * x.numerator * y.denominator,
+                          q * y.numerator * x.denominator)
 
     def norm(self) -> int | Fraction:
         if self.domain.kind != "quadratic":
@@ -346,12 +342,19 @@ def _rational(domain: CoefficientDomain, values: list) -> CoeffIdeal:
     return CoeffIdeal(domain, divide(gcd(*(int(v * den) for v in values)), den))
 
 
-def _lattice(domain: CoefficientDomain, elements) -> CoeffIdeal:
-    """The ideal of a quadratic order spanned over Z by the given elements."""
-    scale, a, b, c = _hnf_rational([(e.x, e.y) for e in elements])
+def _lattice(domain: CoefficientDomain, vectors: list[tuple[int, int]],
+             num: int = 1, den: int = 1) -> CoeffIdeal:
+    """The ideal of a quadratic order spanned over Z by num/den (> 0) times
+    the given integer vectors (coordinates: coefficient of 1, of w)."""
+    a, b, c = _hnf_int(vectors)
+    g = gcd(gcd(a, b), c)
+    # num/den * g = p/q in lowest terms: the ideal is 1/q * p*[a, b, c]/g
+    k = gcd(num * g, den)
+    p, q = num * g // k, den // k
+    a, b, c = p * (a // g), p * (b // g), p * (c // g)
     if not _omega_closed(domain, a, b, c):
         raise ValueError("module is not closed under multiplication by w")
-    return CoeffIdeal(domain, scale, a, b, c)
+    return CoeffIdeal(domain, divide(1, q), a, b, c)
 
 
 def ideal_from_generators(domain: CoefficientDomain, gens) -> CoeffIdeal:
@@ -361,8 +364,14 @@ def ideal_from_generators(domain: CoefficientDomain, gens) -> CoeffIdeal:
         raise ValueError("at least one nonzero generator is required")
     if domain.kind != "quadratic":
         return _rational(domain, elems)
-    w = domain.element(0, 1)
-    return _lattice(domain, [x for e in elems for x in (e, e * w)])
+    t, n = domain.omega_trace, domain.omega_norm
+    den = lcm(*(v.denominator for e in elems for v in (e.x, e.y)))
+    vectors = []
+    for e in elems:                   # e and e*w, times den
+        x = e.x.numerator * (den // e.x.denominator)
+        y = e.y.numerator * (den // e.y.denominator)
+        vectors += [(x, y), _times(t, n, (x, y), (0, 1))]
+    return _lattice(domain, vectors, 1, den)
 
 
 def _require_same_domain(i: CoeffIdeal, j: CoeffIdeal) -> CoefficientDomain:
@@ -375,29 +384,42 @@ def mul(i: CoeffIdeal, j: CoeffIdeal) -> CoeffIdeal:
     domain = _require_same_domain(i, j)
     if domain.kind != "quadratic":
         return CoeffIdeal(domain, exact(i.scale * j.scale))
-    return _lattice(domain, [e * f for e in i.basis_elements()
-                             for f in j.basis_elements()])
+    t, n = domain.omega_trace, domain.omega_norm
+    products = [_times(t, n, u, v) for u in ((i.a, 0), (i.b, i.c))
+                for v in ((j.a, 0), (j.b, j.c))]
+    si, sj = i.scale, j.scale
+    return _lattice(domain, products, si.numerator * sj.numerator,
+                    si.denominator * sj.denominator)
 
 
 def colon(i: CoeffIdeal, j: CoeffIdeal) -> CoeffIdeal:
     """(i : j) = every field element x with x*j inside i.
 
-    Over a quadratic order this is the intersection of beta^-1 * i over the
-    basis elements beta of j, taken as the dual of the sum of the duals.
+    Over a quadratic order this is i.scale / j.scale times the intersection
+    of beta^-1 * [a, b+c*w] over the basis elements beta of j's triple, taken
+    as the dual of the sum of the duals.  beta^-1 * [a, b+c*w] has the
+    integer rows conj(beta)*a and conj(beta)*(b+c*w) over N(beta); their
+    determinant is N(beta)*a*c, so its dual is their integer adjugate over
+    a*c, one denominator for every beta.
     """
     domain = _require_same_domain(i, j)
     if domain.kind != "quadratic":
         return CoeffIdeal(domain, divide(i.scale, j.scale))
-    basis = i.basis_elements()
+    t, n = domain.omega_trace, domain.omega_norm
+    a, b, c = i.a, i.b, i.c
     duals = []
-    for beta in j.basis_elements():
-        conj, n = beta.conjugate(), beta.norm()
-        beta_inv = QuadElement(domain, divide(conj.x, n), divide(conj.y, n))
-        p, q = (e * beta_inv for e in basis)
-        duals.extend(_dual_basis((p.x, p.y), (q.x, q.y)))
-    scale, a, b, c = _hnf_rational(duals)
-    meet = _dual_basis((scale * a, 0), (scale * b, scale * c))
-    return _lattice(domain, [QuadElement(domain, x, y) for x, y in meet])
+    for x, y in ((j.a, 0), (j.b, j.c)):
+        conj = (x + t * y, -y)
+        p, q = _times(t, n, conj, (a, 0))
+        r, s = _times(t, n, conj, (b, c))
+        duals += [(s, -r), (-q, p)]
+    # the duals sum to [a2, b2+c2*w] / (a*c); the meet is its dual,
+    # a*c/(a2*c2) times the adjugate rows (c2, -b2) and (0, a2)
+    a2, b2, c2 = _hnf_int(duals)
+    si, sj = i.scale, j.scale
+    return _lattice(domain, [(c2, -b2), (0, a2)],
+                    si.numerator * sj.denominator * a * c,
+                    si.denominator * sj.numerator * a2 * c2)
 
 
 def inverse(i: CoeffIdeal) -> CoeffIdeal:
@@ -539,7 +561,7 @@ def form_to_ideal(domain: CoefficientDomain, form: QuadForm) -> CoeffIdeal:
         raise MismatchError("form discriminant does not match the order")
     t = domain.omega_trace
     bt = -(form.b + t) // 2
-    return _lattice(domain, [domain.element(form.a), domain.element(bt % form.a, 1)])
+    return _lattice(domain, [(form.a, 0), (bt % form.a, 1)])
 
 
 def ideal_to_form(i: CoeffIdeal) -> QuadForm:

@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from sgclass import domains as dom
+from sgclass import domains as dom, suites
 from sgclass.errors import CapabilityError, MismatchError, ParseError
 
 Q = dom.CoefficientDomain.rationals()
@@ -190,10 +190,19 @@ def test_principal_form_ideals_are_those_of_the_identity_class(disc):
 
 
 def test_fractional_scale_keeps_integer_content_in_the_triple():
+    """The scale is 1/D for the least D with D*L integral, and the triple is
+    the normal form of D*L with its content left in."""
     two = dom.ideal_from_generators(D5, [2])
     assert (two.scale, two.a, two.b, two.c) == (1, 2, 0, 2)
     half = dom.ideal_from_generators(D5, [Fraction(1, 2)])
     assert (half.scale, half.a, half.b, half.c) == (Fraction(1, 2), 1, 0, 1)
+    three_halves = dom.ideal_from_generators(D5, [Fraction(3, 2)])
+    assert (three_halves.scale, three_halves.a, three_halves.b, three_halves.c) == \
+        (Fraction(1, 2), 3, 0, 3)
+    assert three_halves.text() == "1/2*[3, 0+3*w]"
+    w_half = dom.ideal_from_generators(D5, [D5.element(Fraction(1, 2), Fraction(1, 2))])
+    assert (w_half.scale, w_half.a, w_half.b, w_half.c) == (Fraction(1, 2), 6, 1, 1)
+    assert w_half.text() == "1/2*[6, 1+w]"
 
 
 def test_colon_and_v_on_rational_ideals():
@@ -216,8 +225,158 @@ def test_rank_one_ideals_are_a_scale():
     assert whole.contains(Fraction(1, 7))
 
 
+# --- the rational lattice kernel the integer one replaced, as a reference ---
+
+def _hnf_rational(vectors):
+    den = lcm(*(v.denominator for xy in vectors for v in xy))
+    a, b, c = dom._hnf_int([(int(x * den), int(y * den)) for x, y in vectors])
+    g = gcd(gcd(a, b), c)
+    k = gcd(den, g)
+    return dom.divide(k, den), a // k, b // k, c // k
+
+
+def _dual_basis(b1, b2):
+    # rows of the inverse-transpose of the basis matrix [b1; b2]
+    (p, q), (r, s) = (b1, b2)
+    det = p * s - q * r
+    if not det:
+        raise ValueError("degenerate lattice")
+    return ((dom.divide(s, det), dom.divide(-r, det)),
+            (dom.divide(-q, det), dom.divide(p, det)))
+
+
+def reference_lattice(domain, elements):
+    scale, a, b, c = _hnf_rational([(e.x, e.y) for e in elements])
+    return dom.CoeffIdeal(domain, scale, a, b, c)
+
+
+def reference_ideal(domain, gens):
+    elems = [e for e in (domain.coerce(g) for g in gens) if e]
+    if domain.kind == "Q":
+        return dom.unit_ideal(domain)
+    if domain.kind == "Z":
+        den = lcm(*(v.denominator for v in elems))
+        return dom.CoeffIdeal(domain, Fraction(gcd(*(int(v * den) for v in elems)), den))
+    w = domain.element(0, 1)
+    return reference_lattice(domain, [x for e in elems for x in (e, e * w)])
+
+
+def reference_mul(i, j):
+    if i.domain.kind != "quadratic":
+        return dom.CoeffIdeal(i.domain, i.scale * j.scale)
+    return reference_lattice(i.domain, [e * f for e in i.basis_elements()
+                                        for f in j.basis_elements()])
+
+
+def reference_colon(i, j):
+    """The intersection of beta^-1 * i over the basis elements beta of j, as
+    the dual of the sum of the duals, in Fractions."""
+    domain = i.domain
+    if domain.kind != "quadratic":
+        return dom.CoeffIdeal(domain, Fraction(i.scale) / j.scale)
+    basis = i.basis_elements()
+    duals = []
+    for beta in j.basis_elements():
+        conj, n = beta.conjugate(), beta.norm()
+        beta_inv = dom.QuadElement(domain, dom.divide(conj.x, n), dom.divide(conj.y, n))
+        p, q = (e * beta_inv for e in basis)
+        duals.extend(_dual_basis((p.x, p.y), (q.x, q.y)))
+    scale, a, b, c = _hnf_rational(duals)
+    meet = _dual_basis((scale * a, 0), (scale * b, scale * c))
+    return reference_lattice(domain, [dom.QuadElement(domain, x, y) for x, y in meet])
+
+
+def reference_contains(i, value) -> bool:
+    v = i.domain.coerce(value)
+    if i.domain.kind != "quadratic":
+        return i.domain.kind == "Q" or (Fraction(v) / i.scale).denominator == 1
+    x, y = Fraction(v.x) / i.scale, Fraction(v.y) / i.scale
+    k = y / i.c
+    return k.denominator == 1 and ((x - k * i.b) / i.a).denominator == 1
+
+
+# lemma23's and decomposition's coefficient pools, and the non-maximal Z[sqrt(-3)]
+REFERENCE_POOL = tuple(dict.fromkeys(
+    suites._coeff_domain_pool() + suites._invertible_domain_pool() + (D3,)))
+
+
+@pytest.mark.parametrize("domain", REFERENCE_POOL, ids=lambda d: d.text())
+def test_integer_lattice_kernel_matches_the_rational_reference(domain):
+    rng = random.Random(f"lattice:{domain.text()}")
+    one = dom.unit_ideal(domain)
+
+    def value():
+        x = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+        if domain.kind != "quadratic":
+            return x
+        return domain.element(x, Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))))
+
+    def generators():
+        while True:
+            gens = [value() for _ in range(rng.randint(1, 3))]
+            if any(gens):
+                return gens
+
+    outcomes = set()
+    for _ in range(60):
+        gi, gj = generators(), generators()
+        i, j = dom.ideal_from_generators(domain, gi), dom.ideal_from_generators(domain, gj)
+        assert i == reference_ideal(domain, gi) and j == reference_ideal(domain, gj)
+        assert dom.mul(i, j) == reference_mul(i, j)
+        assert dom.colon(i, j) == reference_colon(i, j)
+        inverse = reference_colon(one, i)
+        assert dom.v_closure(i) == reference_colon(one, inverse)
+        assert dom.is_t_invertible(i) == \
+            (reference_colon(one, reference_colon(one, reference_mul(i, inverse))) == one)
+        first, last = i.basis_elements()[0], i.basis_elements()[-1]
+        for _ in range(10):
+            member = first * rng.randint(-5, 5) + last * rng.randint(-5, 5)
+            assert i.contains(member) and reference_contains(i, member)
+            x = value()
+            found = i.contains(x)
+            assert found == reference_contains(i, x)
+            outcomes.add(found)
+    assert outcomes == ({True} if domain.kind == "Q" else {True, False})
+
+
+def test_lattice_kernel_builds_no_fractions(monkeypatch):
+    """mul, colon and contains on quadratic ideals work on integers: they
+    build no Fraction beyond what ``divide`` spends on a fractional result
+    scale, at most 2 per call."""
+    rng = random.Random(11)
+    cases = []
+    for domain in (O23, D3):
+        for _ in range(30):
+            ideals = [dom.ideal_from_generators(domain, [
+                domain.element(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))),
+                               Fraction(rng.randint(-6, 6), rng.choice((1, 2)))),
+                rng.randint(1, 5)]) for _ in range(2)]
+            x = domain.element(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 6))),
+                               Fraction(rng.randint(-6, 6), rng.choice((1, 3))))
+            cases.append((*ideals, x))
+    assert any(i.scale != 1 for i, _, _ in cases)
+    built = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    Fraction(1, 3)
+    assert built == [1]
+    for i, j, x in cases:
+        for call in (lambda: dom.mul(i, j), lambda: dom.colon(i, j),
+                     lambda: dom.colon(j, i), lambda: i.contains(x)):
+            before = built[0]
+            call()
+            assert built[0] - before <= 2, (i, j, x)
+
+
 @pytest.mark.parametrize("domain", [D3, O23], ids=["Z[sqrt(-3)]", "O[sqrt(-23)]"])
 def test_colon_matches_its_definition(domain):
+    """Membership in (i : j) against x*j inside i, judged by the rational
+    reference so the integer kernel does not grade itself."""
     rng = random.Random(5)
 
     def small_ideal():
@@ -233,7 +392,7 @@ def test_colon_matches_its_definition(domain):
         for _ in range(50):
             x = domain.element(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))),
                                Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))))
-            expected = all(i.contains(x * b) for b in j.basis_elements())
+            expected = all(reference_contains(i, x * b) for b in j.basis_elements())
             assert quotient.contains(x) == expected
             seen.add(expected)
     assert seen == {True, False}
