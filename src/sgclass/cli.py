@@ -196,6 +196,9 @@ def _cmd_sgp_ideal(args, seed, checks):
 
 
 def _cmd_sgp_search(args, seed, checks):
+    """Sweep for a non-principal t-invertible ideal with the definitional judge.
+    Every t-invertible ideal of a numerical semigroup is principal
+    (``graded.monoid_class_group_status``), so a found ideal is a kernel bug."""
     sgp = _numerical(args.sgp)
     found = mid.search_nonprincipal_t_invertible(sgp, args.bound)
     check(checks, "no non-principal t-invertible ideal found", found is None,
@@ -241,10 +244,9 @@ def _demo_ex216(args, seed, checks):
 
 
 def _demo_ex217(args, seed, checks):
-    domain = dom.parse_domain(args.domain or "Z[sqrt(-5)]")
-    descriptor = parse_monoid(args.sgp or "p^inf:2")
-    bound = args.bound if args.bound is not None else 12
-    report = grd.transfer_criterion_report(domain, descriptor, bound)
+    domain = dom.parse_domain("Z[sqrt(-5)]" if args.domain is None else args.domain)
+    descriptor = parse_monoid("p^inf:2" if args.sgp is None else args.sgp)
+    report = grd.transfer_criterion_report(domain, descriptor)
     for cond in report["conditions"]:
         check(checks, cond["name"], cond["holds"], cond["detail"])
     return report
@@ -252,7 +254,7 @@ def _demo_ex217(args, seed, checks):
 
 def _demo_ex218(args, seed, checks):
     bound = args.bound if args.bound is not None else 20
-    sgp = _numerical(args.sgp or "2,3")
+    sgp = _numerical("2,3" if args.sgp is None else args.sgp)
     # the minimal generators of a monoid are an antichain, ascending
     gap_class = mid.class_key(sgp.generators)
     total = principal = shifted = other = 0
@@ -261,7 +263,9 @@ def _demo_ex218(args, seed, checks):
     # Divisoriality and t-invertibility are shift-invariant, so each class is
     # judged once.  One sweep in the order of
     # mid.search_nonprincipal_t_invertible, so the first non-principal
-    # t-invertible ideal met is the search's witness.
+    # t-invertible ideal met is the search's witness.  Such a witness would be
+    # a kernel bug: every t-invertible ideal of a numerical semigroup is
+    # principal (graded.monoid_class_group_status).
     classes = mid._judged_classes(sgp, bound, lambda y: (
         mid.is_divisorial(y), not mid.is_principal(y) and mid.is_t_invertible(y)))
     for gens, key, (divisorial, invertible) in classes:
@@ -305,7 +309,7 @@ DEMOS = {
     "ex111": (_demo_ex111, ()),
     "ex112": (_demo_ex112, ()),
     "ex216": (_demo_ex216, ()),
-    "ex217": (_demo_ex217, ("sgp", "domain", "bound")),
+    "ex217": (_demo_ex217, ("sgp", "domain")),
     "ex218": (_demo_ex218, ("sgp", "bound")),
     **{name: (_suite_demo(name), ("trials",))
        for name in ("lemma23", "northcott", "decomposition")},

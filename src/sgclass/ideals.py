@@ -140,6 +140,8 @@ class MonoidClass:
     """A divisorial-class representative: the v-closure shifted to minimum 0."""
 
     representative: FractionalIdeal
+    # equals class_is_trivial(self): every t-invertible ideal of a numerical
+    # semigroup is principal (graded.monoid_class_group_status)
     invertible: bool
 
 
@@ -205,6 +207,10 @@ def search_nonprincipal_t_invertible(monoid: NumericalSemigroup, bound: int,
 
     Returns the first non-principal t-invertible ideal in the deterministic
     enumeration order, or None when the sweep is exhaustive and empty-handed.
+    Every t-invertible ideal of a numerical semigroup is principal
+    (``graded.monoid_class_group_status``), so a found ideal is a bug in the
+    kernel that judges it: the sweep checks ``is_t_invertible`` against that
+    theorem.
     ``progress(examined, generators)`` is called every 250 antichains and once
     with None at the end.  Every antichain is examined and counted, but each
     shift class is judged once per call, on its ``class_key``.  That is sound

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 
 from .domains import _prime_factors
@@ -21,6 +22,9 @@ from .errors import CapabilityError, ParseError
 
 # Widest member window, in bits, that a semigroup or an ideal may need.
 MAX_WINDOW_BITS = 1 << 20
+
+# Maps each digit of a binary string to 1 for a zero bit and 0 for a one bit.
+_ZERO_DIGITS = bytes.maketrans(b"01", b"\x01\x00")
 
 
 @dataclass(frozen=True)
@@ -143,8 +147,9 @@ def from_generators(raw) -> NumericalSemigroup:
             break
         size *= 2
     conductor = (~reach & ((1 << size) - 1)).bit_length()
-    members = format(reach, "b")[::-1]
-    gaps = tuple(i for i in range(conductor) if members[i] == "0")
+    # the zero bits below the conductor, read in one C-level pass
+    zeros = format(reach, "b")[::-1][:conductor].encode().translate(_ZERO_DIGITS)
+    gaps = tuple(compress(range(conductor), zeros))
     return NumericalSemigroup(tuple(minimal), scale, gaps, conductor,
                               _gap_set=frozenset(gaps))
 

@@ -15,7 +15,7 @@ from sgclass import domains as dom
 from sgclass import graded as grd
 from sgclass import ideals as mid
 from sgclass.errors import ExponentCapError
-from sgclass.semigroups import from_generators
+from sgclass.semigroups import from_generators, parse_monoid
 
 REPORT_KEYS = {"schema", "command", "inputs", "results", "checks", "seed",
                "elapsed"}
@@ -93,6 +93,9 @@ def test_capability_error_exits_two():
     ["demo", "lemma23", "--trials", "0"],
     ["demo", "lemma23", "--trials", "-3"],
     ["suite", "--only", "closure", "--trials", "0"],
+    ["demo", "ex217", "--sgp", ""],
+    ["demo", "ex217", "--domain", ""],
+    ["demo", "ex218", "--sgp", ""],
 ])
 def test_out_of_range_values_exit_two(argv):
     code, report = cli.run(argv)
@@ -537,6 +540,20 @@ def test_ex217_builds_one_class_group(monkeypatch):
     assert "Z/3Z" in report["results"]["conclusion"]
     assert len(extensions) == 1
     assert tables == []
+
+
+def test_condition_three_is_answered_without_a_sweep(monkeypatch):
+    """Over a numerical semigroup, condition 3 is a theorem, not a search."""
+    sweeps = _counting(monkeypatch, mid, "search_nonprincipal_t_invertible")
+    report = grd.transfer_criterion_report(dom.parse_domain("Z"), parse_monoid("2,3"))
+    code, demo = cli.run(["demo", "ex217", "--sgp", "11,13"])
+    assert code == 1   # 11,13 is not integrally closed: condition 2 fails
+    for rep in (report, demo["results"]):
+        assert "search_bound" not in rep
+        assert [c["holds"] for c in rep["conditions"]] == [True, False, True]
+        assert rep["conditions"][2]["detail"] == \
+            "theorem: every t-invertible ideal of a numerical semigroup is principal"
+    assert sweeps == []
 
 
 def test_northcott_search_is_computed_once():

@@ -463,28 +463,28 @@ def test_semigroup_ring_integral_closure():
     the first two conditions of the transfer criterion."""
     for domain, sgp, closed in ((Z, S1, True), (Z, S23, False),
                                 (D3, S1, False), (D5, S1, True)):
-        report = transfer_criterion_report(domain, MonoidDescriptor.numerical(sgp), 4)
+        report = transfer_criterion_report(domain, MonoidDescriptor.numerical(sgp))
         assert all(c["holds"] for c in report["conditions"][:2]) == closed
 
 
 def test_transfer_criterion_success_over_the_power_cone():
-    report = transfer_criterion_report(D5, parse_monoid("p^inf:2"), 12)
+    report = transfer_criterion_report(D5, parse_monoid("p^inf:2"))
     assert all(c["holds"] for c in report["conditions"])
     assert report["conclusion"] == \
         "class group of the monoid ring equals the coefficient class group: Z/2Z"
 
 
 def test_transfer_criterion_success_over_the_whole_line():
-    report = transfer_criterion_report(Z, parse_monoid("1"), 12)
+    report = transfer_criterion_report(Z, parse_monoid("1"))
     assert all(c["holds"] for c in report["conditions"])
     assert report["conclusion"].endswith("trivial")
 
 
 def test_transfer_criterion_failure_modes():
-    report = transfer_criterion_report(D3, parse_monoid("p^inf:2"), 12)
+    report = transfer_criterion_report(D3, parse_monoid("p^inf:2"))
     assert report["conclusion"] == \
         "criterion fails: coefficient domain integrally closed"
-    report2 = transfer_criterion_report(Q, parse_monoid("2,3"), 12)
+    report2 = transfer_criterion_report(Q, parse_monoid("2,3"))
     assert report2["conclusion"] == \
         "criterion fails: monoid integrally closed"
     assert [c["holds"] for c in report2["conditions"]].count(False) >= 1

@@ -316,3 +316,24 @@ def test_text_and_json_round_trip_facts():
     assert blob["generators"] == [2, 3]
     assert blob["divisorial"] is True
     assert blob["invertible"] is False
+
+
+THEOREM_POOL = ((2, 3), (3, 5), (3, 4, 5), (4, 6, 9), (5, 7), (4, 5, 6),
+                (5, 6, 9), (6, 7, 8), (7, 9, 11), (5, 7, 9, 11))
+
+
+@pytest.mark.parametrize("gens", THEOREM_POOL)
+def test_t_invertible_classes_are_principal(gens):
+    """Every t-invertible ideal of a numerical semigroup is principal
+    (graded.monoid_class_group_status), checked with the definitional judge
+    on every normalized class; the maximal ideal is divisorial."""
+    monoid = from_generators(gens)
+    keys = {mid.class_key(g)
+            for g in mid.canonical_generator_sets(monoid, monoid.frobenius)}
+    invertible = 0
+    for key in keys:
+        y = mid.ideal_from_generators(monoid, key)
+        assert mid.is_t_invertible(y) == mid.is_principal(y), key
+        invertible += mid.is_t_invertible(y)
+    assert invertible == 1
+    assert mid.is_divisorial(mid.ideal_from_generators(monoid, monoid.generators))

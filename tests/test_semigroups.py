@@ -104,6 +104,19 @@ def test_apery_is_minimal_per_residue(gens):
         assert not s.contains(a - n)
 
 
+def test_two_generator_gaps_follow_sylvester():
+    """<a, b> with a, b coprime has (a-1)(b-1)/2 gaps and Frobenius number
+    ab - a - b, and it is symmetric: n is a gap iff F - n is a member."""
+    a, b = 240, 259
+    s = from_generators([a, b])
+    frobenius = a * b - a - b
+    assert len(s.gaps) == (a - 1) * (b - 1) // 2
+    assert s.frobenius == s.gaps[-1] == frobenius
+    gap_set = set(s.gaps)
+    assert all((n in gap_set) != (frobenius - n in gap_set)
+               for n in range(frobenius + 1))
+
+
 def test_apery_requires_member():
     s = from_generators([4, 6, 9])
     with pytest.raises(ValueError):
