@@ -30,6 +30,7 @@ from .graded import (
 )
 from .ideals import (
     FractionalIdeal,
+    canonical_generator_sets,
     ideal_from_generators,
     search_nonprincipal_t_invertible,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "NumericalSemigroup",
     "ParseError",
     "QuadForm",
+    "canonical_generator_sets",
     "class_group",
     "decompose_class",
     "extract_pair",

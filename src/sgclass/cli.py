@@ -261,26 +261,28 @@ def _demo_ex218(args, seed, checks):
     nondivisorial = []
     witness = None
     # Divisoriality and t-invertibility are shift-invariant, so each class is
-    # judged once.  One sweep in the order of
+    # judged once, at its key.  One grouped walk in the order of
     # mid.search_nonprincipal_t_invertible, so the first non-principal
     # t-invertible ideal met is the search's witness.  Such a witness would be
     # a kernel bug: every t-invertible ideal of a numerical semigroup is
     # principal (graded.monoid_class_group_status).
     classes = mid._judged_classes(sgp, bound, lambda y: (
         mid.is_divisorial(y), not mid.is_principal(y) and mid.is_t_invertible(y)))
-    for gens, key, (divisorial, invertible) in classes:
-        total += 1
-        if not divisorial and len(nondivisorial) < 3:
-            nondivisorial.append(mid.ideal_from_generators(sgp, gens).text())
-        if len(gens) == 1:
-            principal += 1
-            continue
-        if witness is None and invertible:
-            witness = mid.ideal_from_generators(sgp, gens)
-        if key == gap_class:
-            shifted += 1
-        else:
-            other += 1
+    for shift, group in classes:
+        total += len(group)
+        for key, (divisorial, invertible) in group:
+            if not divisorial and len(nondivisorial) < 3:
+                gens = [g + shift for g in key]
+                nondivisorial.append(mid.ideal_from_generators(sgp, gens).text())
+            if len(key) == 1:
+                principal += 1
+                continue
+            if witness is None and invertible:  # met first at shift 0
+                witness = mid.ideal_from_generators(sgp, key)
+            if key == gap_class:
+                shifted += 1
+            else:
+                other += 1
     check(checks, "every enumerated ideal is divisorial", not nondivisorial,
           f"{total} ideals" if not nondivisorial
           else f"counterexamples: {nondivisorial}")

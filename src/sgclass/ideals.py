@@ -5,9 +5,10 @@ that is bounded below and eventually contains every integer.  It is stored as
 its minimal generators and one int of members, bit i set iff min + i belongs.
 Its ones run to infinity, so the int is negative, and equal sets give equal
 ints: structural equality is set equality with no bound to canonicalize.
-Operations are arithmetic on member bit sets (sum: OR of shifted semigroup
-members, colon: AND of shifted members) and one canonicalizer reads the minimal
-generators of a bit set B as B & ~OR(B << g) over the monoid's generators g.
+Operations are arithmetic on member bit sets (sum: OR of one summand's members
+shifted by the other's generators, colon: AND of shifted members) and one
+canonicalizer reads the minimal generators of a bit set B as B & ~OR(B << g)
+over the monoid's generators g.
 Definitions as in Rosales & Garcia-Sanchez, *Numerical Semigroups* (2009).
 """
 
@@ -61,14 +62,20 @@ def ideal_from_generators(monoid: NumericalSemigroup, gens) -> FractionalIdeal:
     if not cleaned:
         raise ValueError("a fractional ideal needs at least one generator")
     lo, hi = cleaned[0], cleaned[-1] + monoid.conductor
-    if hi - lo > MAX_WINDOW_BITS:
-        raise CapabilityError(f"generators {lo}..{cleaned[-1]} need a window "
-                              f"of more than {MAX_WINDOW_BITS} bits")
+    _require_window(monoid, lo, cleaned[-1])
     gamma = monoid.member_bits(hi - lo)
     bits = 0
     for f in cleaned:
         bits |= gamma << (f - lo)
     return _canonical(monoid, lo, bits | (-1 << (hi - lo)))
+
+
+def _require_window(monoid: NumericalSemigroup, lo: int, top: int) -> None:
+    """Refuse an ideal with generators from lo to top whose member window,
+    top + conductor - lo bits, is wider than ``MAX_WINDOW_BITS``."""
+    if top + monoid.conductor - lo > MAX_WINDOW_BITS:
+        raise CapabilityError(f"generators {lo}..{top} need a window "
+                              f"of more than {MAX_WINDOW_BITS} bits")
 
 
 def _canonical(monoid: NumericalSemigroup, lo: int, bits: int) -> FractionalIdeal:
@@ -94,9 +101,14 @@ def _require_same_monoid(y: FractionalIdeal, z: FractionalIdeal) -> NumericalSem
 
 
 def minkowski_sum(y: FractionalIdeal, z: FractionalIdeal) -> FractionalIdeal:
+    """y + z = the join of y + e over z's generators e."""
     monoid = _require_same_monoid(y, z)
-    return ideal_from_generators(
-        monoid, [a + b for a in y.min_generators for b in z.min_generators])
+    _require_window(monoid, y.min + z.min,
+                    y.min_generators[-1] + z.min_generators[-1])
+    acc = 0
+    for e in z.min_generators:
+        acc |= y.members << (e - z.min)
+    return _canonical(monoid, y.min + z.min, acc)
 
 
 def colon(y: FractionalIdeal, z: FractionalIdeal) -> FractionalIdeal:
@@ -132,7 +144,10 @@ def is_principal(y: FractionalIdeal) -> bool:
 
 
 def is_t_invertible(y: FractionalIdeal) -> bool:
-    return v_closure(minkowski_sum(y, inverse(y))) == unit_ideal(y.monoid)
+    """(y + y^-1)_v = S, the definition, read as (y + y^-1)^-1 = S: every
+    ideal I has (I_v)^-1 = I^-1, so I_v = S gives I^-1 = S^-1 = S, and
+    I^-1 = S gives I_v = (I^-1)^-1 = S."""
+    return inverse(minkowski_sum(y, inverse(y))) == unit_ideal(y.monoid)
 
 
 @dataclass(frozen=True)
@@ -155,15 +170,13 @@ def class_is_trivial(c: MonoidClass) -> bool:
     return c.representative == unit_ideal(c.representative.monoid)
 
 
-def canonical_generator_sets(monoid: NumericalSemigroup, bound: int):
-    """Yield every minimal generating set with generators in [0, bound].
-
-    These are exactly the antichains of the divisibility order of the monoid:
-    sets where no two elements differ by a nonzero member.  Order: smallest
-    maximum first, then lexicographic, so the sweep is deterministic.
-    Candidate sets are gap bit sets: with G the gaps, the elements that may
-    precede ``top`` start as top - G, and choosing e keeps only G << e.
-    """
+def _class_keys(monoid: NumericalSemigroup, bound: int):
+    """Yield, for each top in [0, bound], the list of antichains that contain
+    0 and top, in lexicographic order: the normalized classes (minimum 0)
+    whose largest minimal generator is top.  The list is empty unless top is
+    0 or a gap.  Candidate sets are gap bit sets: with G the gaps, the
+    elements e that may lie between 0 and ``top`` start as those with e and
+    top - e in G, and choosing e keeps only G << e."""
     c = monoid.conductor
     gaps = ((1 << c) - 1) ^ monoid.member_bits(c)
 
@@ -177,8 +190,31 @@ def canonical_generator_sets(monoid: NumericalSemigroup, bound: int):
 
     below = 0  # bit e set iff top - e is a gap
     for top in range(bound + 1):
-        yield from extend((), top, below)
+        if top == 0:
+            yield [(0,)]
+        elif below & 1:
+            yield list(extend((0,), top, below & gaps))
+        else:
+            yield []
         below = (below << 1) | ((gaps >> (top + 1)) & 1)
+
+
+def canonical_generator_sets(monoid: NumericalSemigroup, bound: int):
+    """Yield every minimal generating set with generators in [0, bound].
+
+    These are exactly the antichains of the divisibility order of the monoid:
+    sets where no two elements differ by a nonzero member.  Order: smallest
+    maximum first, then lexicographic, so the sweep is deterministic.  The
+    antichains with maximum ``top`` and minimum s are the class keys with
+    maximum top - s shifted by s, so each top lists its own keys, then the
+    keys of top - 1 shifted by 1, and so on down to (top,).
+    """
+    by_top = []
+    for top, keys in enumerate(_class_keys(monoid, bound)):
+        by_top.append(keys)
+        for s in range(top + 1):
+            for key in by_top[top - s]:
+                yield tuple(g + s for g in key)
 
 
 def class_key(gens: tuple[int, ...]) -> tuple[int, ...]:
@@ -188,17 +224,23 @@ def class_key(gens: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _judged_classes(monoid: NumericalSemigroup, bound: int, judge):
-    """Yield (gens, key, verdict) for each antichain of
-    ``canonical_generator_sets(monoid, bound)``, in its order, where key is
-    its ``class_key`` and verdict is ``judge`` of the ideal the key generates,
-    computed once per key.  Only a shift-invariant judge may be given: the
-    verdict of a class stands for every shift in it."""
-    judged = {}
-    for gens in canonical_generator_sets(monoid, bound):
-        key = class_key(gens)
-        if key not in judged:
-            judged[key] = judge(ideal_from_generators(monoid, key))
-        yield gens, key, judged[key]
+    """Walk ``canonical_generator_sets(monoid, bound)`` in its order as
+    groups: yield (shift, group), group a list of (key, verdict), standing for
+    the antichains key + shift.  Each key is judged, as ``judge`` of the ideal
+    it generates, where it first appears: at shift 0, in a group of its own.
+    A later group with shift s is the judged keys of top - s again, not
+    judged twice and not shifted here.  Only a shift-invariant judge may be
+    given: the verdict of a class stands for every shift in it."""
+    by_top = []
+    for top, keys in enumerate(_class_keys(monoid, bound)):
+        judged = []
+        for key in keys:
+            judged.append((key, judge(ideal_from_generators(monoid, key))))
+            yield 0, judged[-1:]
+        by_top.append(judged)
+        for s in range(1, top + 1):
+            if by_top[top - s]:
+                yield s, by_top[top - s]
 
 
 def search_nonprincipal_t_invertible(monoid: NumericalSemigroup, bound: int,
@@ -213,23 +255,28 @@ def search_nonprincipal_t_invertible(monoid: NumericalSemigroup, bound: int,
     theorem.
     ``progress(examined, generators)`` is called every 250 antichains and once
     with None at the end.  Every antichain is examined and counted, but each
-    shift class is judged once per call, on its ``class_key``.  That is sound
-    because t-invertibility is shift-invariant, a theorem and not a shortcut:
-    inverse(y + n) = inverse(y) - n, so (y + n) + inverse(y + n) is
-    y + inverse(y), and so is its v-closure.  Every fractional ideal is a
-    shift of exactly one ideal with minimum 0, the one its key generates.
+    shift class is judged once per call, at its key (its shift to minimum 0),
+    where the class first appears; its later shifts are counted, not built.
+    That is sound because t-invertibility is shift-invariant, a theorem and
+    not a shortcut: inverse(y + n) = inverse(y) - n, so (y + n) +
+    inverse(y + n) is y + inverse(y), and so is its v-closure.  Every
+    fractional ideal is a shift of exactly one ideal with minimum 0, the one
+    its key generates, so a witness can only be met at a key.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     examined = 0
     classes = _judged_classes(
         monoid, bound, lambda y: not is_principal(y) and is_t_invertible(y))
-    for gens, _, invertible in classes:
-        examined += 1
-        if progress is not None and examined % 250 == 0:
-            progress(examined, gens)
-        if invertible:
-            return ideal_from_generators(monoid, gens)
+    for shift, group in classes:
+        if progress is not None:
+            for n in range((examined // 250 + 1) * 250,
+                           examined + len(group) + 1, 250):
+                key = group[n - examined - 1][0]
+                progress(n, tuple(g + shift for g in key))
+        examined += len(group)
+        if shift == 0 and group[0][1]:
+            return ideal_from_generators(monoid, group[0][0])
     if progress is not None:
         progress(examined, None)
     return None

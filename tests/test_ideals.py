@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sgclass import ideals as mid
 from sgclass.suites import _window, oracle_member, t_oracle
-from sgclass.errors import MismatchError
+from sgclass.errors import CapabilityError, MismatchError
 from sgclass.semigroups import from_generators
 
 S23 = from_generators([2, 3])
@@ -176,6 +176,24 @@ def test_operations_refuse_mixed_monoids():
         mid.colon(y, z)
 
 
+def test_sum_refuses_a_window_wider_than_the_limit(monkeypatch):
+    """The refusal reads the spans of the summands, before any shift: at
+    700,701 the ideal (0, F) fits the window, its sum with itself does not."""
+    monoid = from_generators([700, 701])
+    y = mid.ideal_from_generators(monoid, [0, monoid.frobenius])
+    with pytest.raises(CapabilityError) as refused:
+        mid.minkowski_sum(y, y)
+    assert str(refused.value) == \
+        "generators 0..978598 need a window of more than 1048576 bits"
+    # spans 7 and 4 plus conductor 8: a window of 19 bits exactly
+    y, z = (mid.ideal_from_generators(S35, g) for g in ([0, 7], [-2, 2]))
+    monkeypatch.setattr(mid, "MAX_WINDOW_BITS", 19)
+    assert mid.minkowski_sum(y, z).min_generators == (-2, 2)
+    monkeypatch.setattr(mid, "MAX_WINDOW_BITS", 18)
+    with pytest.raises(CapabilityError, match="generators -2..9 need a window"):
+        mid.minkowski_sum(y, z)
+
+
 def test_canonical_generator_sets_are_antichains():
     gap_set = set(S469.gaps)
     sets = list(mid.canonical_generator_sets(S469, 9))
@@ -202,10 +220,19 @@ def test_search_three_five_bound_fifteen_is_empty():
 
 
 def test_search_reports_progress():
+    """Every 250th antichain, then (count, None).  At 9,11 to bound 31 the 520
+    keys of top 30 and several later shifted groups each span two multiples
+    of 250."""
+    monoid = from_generators([9, 11])
+    assert len(list(mid._class_keys(monoid, 31))[30]) == 520
+    antichains = list(reference_generator_sets(monoid, 31))
+    assert len(antichains) == 60008
     seen = []
-    mid.search_nonprincipal_t_invertible(S23, 12,
-                                         progress=lambda n, g: seen.append(n))
-    assert seen and seen[-1] >= 1
+    mid.search_nonprincipal_t_invertible(
+        monoid, 31, progress=lambda n, g: seen.append((n, g)))
+    assert seen == [(k, antichains[k - 1]) for k in range(250, 60008, 250)] \
+        + [(60008, None)]
+    assert len(seen) == 241
 
 
 # --- references for the sweep: one judgment per antichain, set lookups ------
@@ -292,10 +319,15 @@ def test_class_keys_count_the_normalized_ideals(gens):
     expected = NORMALIZED_COUNTS[gens]
     assert closed_gap_subsets(monoid) == expected
     for bound in (monoid.frobenius, monoid.frobenius + 3):
-        keys = {mid.class_key(g)
-                for g in mid.canonical_generator_sets(monoid, bound)}
-        assert all(key[0] == 0 for key in keys)
-        assert len(keys) == expected
+        by_top = list(mid._class_keys(monoid, bound))
+        assert len(by_top) == bound + 1
+        for top, keys in enumerate(by_top):
+            assert keys == sorted(keys)
+            assert all(key[0] == 0 and key[-1] == top for key in keys)
+        keys = [key for keys in by_top for key in keys]
+        assert len(keys) == len(set(keys)) == expected
+        assert set(keys) == {mid.class_key(g)
+                             for g in mid.canonical_generator_sets(monoid, bound)}
 
 
 def test_class_arithmetic_on_principals():
@@ -326,14 +358,22 @@ THEOREM_POOL = ((2, 3), (3, 5), (3, 4, 5), (4, 6, 9), (5, 7), (4, 5, 6),
 def test_t_invertible_classes_are_principal(gens):
     """Every t-invertible ideal of a numerical semigroup is principal
     (graded.monoid_class_group_status), checked with the definitional judge
-    on every normalized class; the maximal ideal is divisorial."""
+    on every normalized class; the maximal ideal is divisorial.  The judge
+    (y + y^-1)^-1 = S agrees with the definition (y + y^-1)_v = S on every
+    class and on shifts of it."""
     monoid = from_generators(gens)
-    keys = {mid.class_key(g)
-            for g in mid.canonical_generator_sets(monoid, monoid.frobenius)}
+    unit = mid.unit_ideal(monoid)
+    keys = [key for keys in mid._class_keys(monoid, monoid.frobenius)
+            for key in keys]
     invertible = 0
     for key in keys:
         y = mid.ideal_from_generators(monoid, key)
         assert mid.is_t_invertible(y) == mid.is_principal(y), key
         invertible += mid.is_t_invertible(y)
+        for n in (0, -5, 3):
+            shifted = y.shift(n)
+            definition = mid.v_closure(
+                mid.minkowski_sum(shifted, mid.inverse(shifted))) == unit
+            assert mid.is_t_invertible(shifted) == definition, (key, n)
     assert invertible == 1
     assert mid.is_divisorial(mid.ideal_from_generators(monoid, monoid.generators))
