@@ -18,12 +18,12 @@ division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 
 from .errors import CapabilityError, MismatchError, ParseError
+from .records import Record, _set
 
 
 def exact(value) -> int | Fraction:
@@ -83,25 +83,26 @@ def _is_squarefree(n: int) -> bool:
     return len(set(factors)) == len(factors)
 
 
-@dataclass(frozen=True)
-class CoefficientDomain:
+class CoefficientDomain(Record):
     """One of Q, Z, or an imaginary quadratic order."""
 
-    kind: str                 # "Q" | "Z" | "quadratic"
-    d: int | None = None      # squarefree negative radicand
-    maximal: bool | None = None
+    __slots__ = ("kind", "d", "maximal")
 
-    def __post_init__(self):
-        if self.kind in ("Q", "Z"):
-            if self.d is not None or self.maximal is not None:
+    def __init__(self, kind: str,                 # "Q" | "Z" | "quadratic"
+                 d: int | None = None,            # squarefree negative radicand
+                 maximal: bool | None = None):
+        if kind in ("Q", "Z"):
+            if d is not None or maximal is not None:
                 raise ValueError("rational kinds take no radicand")
-            return
-        if self.kind != "quadratic":
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.d is None or self.d >= 0 or not _is_squarefree(self.d):
+        elif kind != "quadratic":
+            raise ValueError(f"unknown domain kind {kind!r}")
+        elif d is None or d >= 0 or not _is_squarefree(d):
             raise ValueError("the radicand must be a squarefree negative integer")
-        if self.maximal is None:
+        elif maximal is None:
             raise ValueError("quadratic orders must state maximality")
+        _set(self, "kind", kind)
+        _set(self, "d", d)
+        _set(self, "maximal", maximal)
 
     @staticmethod
     def rationals() -> "CoefficientDomain":
@@ -177,17 +178,15 @@ class CoefficientDomain:
         return f"Z[sqrt({self.d})]"
 
 
-@dataclass(frozen=True)
-class QuadElement:
+class QuadElement(Record):
     """x + y*w with exact rational x, y, in the quotient field of a quadratic order."""
 
-    domain: CoefficientDomain
-    x: int | Fraction
-    y: int | Fraction
+    __slots__ = ("domain", "x", "y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", exact(self.x))
-        object.__setattr__(self, "y", exact(self.y))
+    def __init__(self, domain: CoefficientDomain, x: int | Fraction, y: int | Fraction):
+        _set(self, "domain", domain)
+        _set(self, "x", exact(x))
+        _set(self, "y", exact(y))
 
     def _lift(self, other) -> "QuadElement":
         return self.domain.coerce(other)
@@ -282,8 +281,7 @@ def _omega_closed(domain: CoefficientDomain, a: int, b: int, c: int) -> bool:
             and _in_triple(a, b, c, -c * n, b + c * t))
 
 
-@dataclass(frozen=True)
-class CoeffIdeal:
+class CoeffIdeal(Record):
     """A nonzero fractional ideal of a coefficient domain: scale * [a, b+c*w].
 
     Over Q and Z the ideal has rank one, a = c = 1 and b = 0, and it is the
@@ -291,11 +289,15 @@ class CoeffIdeal:
     Over a quadratic order [a, b+c*w] is the lattice in normal form.
     """
 
-    domain: CoefficientDomain
-    scale: int | Fraction
-    a: int = 1
-    b: int = 0
-    c: int = 1
+    __slots__ = ("domain", "scale", "a", "b", "c")
+
+    def __init__(self, domain: CoefficientDomain, scale: int | Fraction,
+                 a: int = 1, b: int = 0, c: int = 1):
+        _set(self, "domain", domain)
+        _set(self, "scale", scale)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     def basis_elements(self) -> list:
         if self.domain.kind != "quadratic":
@@ -470,17 +472,17 @@ def is_principal(i: CoeffIdeal):
     return None
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(Record):
     """A positive definite integral binary quadratic form a*x^2 + b*x*y + c*y^2."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        if self.a <= 0 or self.discriminant >= 0:
+    def __init__(self, a: int, b: int, c: int):
+        if a <= 0 or b * b - 4 * a * c >= 0:
             raise ValueError("the form must be positive definite")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     @property
     def discriminant(self) -> int:
@@ -601,15 +603,19 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     return QuadForm(v1 * v2, b, c).reduced()
 
 
-@dataclass(frozen=True)
-class ClassGroup:
+class ClassGroup(Record):
     """A form class group: the reduced forms, their composition table
     (``table[i][j]`` is the index of forms[i]·forms[j]) and the invariant
     factors d_1 | d_2 | ..., all > 1, of the group as a sum of Z/d_i."""
-    domain: CoefficientDomain
-    forms: tuple[QuadForm, ...]
-    table: tuple[tuple[int, ...], ...]
-    invariants: tuple[int, ...]
+
+    __slots__ = ("domain", "forms", "table", "invariants")
+
+    def __init__(self, domain: CoefficientDomain, forms: tuple[QuadForm, ...],
+                 table: tuple[tuple[int, ...], ...], invariants: tuple[int, ...]):
+        _set(self, "domain", domain)
+        _set(self, "forms", forms)
+        _set(self, "table", table)
+        _set(self, "invariants", invariants)
 
     @property
     def order(self) -> int:

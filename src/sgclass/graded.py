@@ -11,8 +11,6 @@ handled independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import domains as dom
 from . import ideals as mid
 from .domains import CoefficientDomain, CoeffIdeal, QuadForm
@@ -24,16 +22,20 @@ from .errors import (
     ParseError,
 )
 from .ideals import FractionalIdeal, MonoidClass
+from .records import Record, _set
 from .semigroups import MonoidDescriptor, NumericalSemigroup
 
 
-@dataclass(frozen=True)
-class GradedElement:
+class GradedElement(Record):
     """A finite sum of monomials b*X^g; the zero element has no terms."""
 
-    domain: CoefficientDomain
-    monoid: NumericalSemigroup
-    terms: tuple[tuple[int, object], ...]   # (exponent, nonzero coefficient)
+    __slots__ = ("domain", "monoid", "terms")
+
+    def __init__(self, domain: CoefficientDomain, monoid: NumericalSemigroup,
+                 terms: tuple[tuple[int, object], ...]):  # (exponent, nonzero coefficient)
+        _set(self, "domain", domain)
+        _set(self, "monoid", monoid)
+        _set(self, "terms", terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -238,13 +240,16 @@ def parse_element(domain: CoefficientDomain, monoid: NumericalSemigroup,
 
 # --- homogeneous ideals ------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomogeneousIdeal:
+class HomogeneousIdeal(Record):
     """Generated by finitely many homogeneous elements b*X^g."""
 
-    domain: CoefficientDomain
-    monoid: NumericalSemigroup
-    gens: tuple[tuple[object, int], ...]    # (nonzero coefficient, exponent)
+    __slots__ = ("domain", "monoid", "gens")
+
+    def __init__(self, domain: CoefficientDomain, monoid: NumericalSemigroup,
+                 gens: tuple[tuple[object, int], ...]):  # (nonzero coefficient, exponent)
+        _set(self, "domain", domain)
+        _set(self, "monoid", monoid)
+        _set(self, "gens", gens)
 
 
 def homogeneous_ideal(domain: CoefficientDomain, monoid: NumericalSemigroup,
@@ -282,12 +287,14 @@ def homogeneous_membership(ideal: HomogeneousIdeal, f: GradedElement) -> bool:
 
 # --- split ideals: a coefficient part and an exponent part -------------------
 
-@dataclass(frozen=True)
-class IdealPair:
+class IdealPair(Record):
     """The ideal of all sums b*X^g with b in ``coeff`` and g in ``exps``."""
 
-    coeff: CoeffIdeal
-    exps: FractionalIdeal
+    __slots__ = ("coeff", "exps")
+
+    def __init__(self, coeff: CoeffIdeal, exps: FractionalIdeal):
+        _set(self, "coeff", coeff)
+        _set(self, "exps", exps)
 
     def text(self) -> str:
         return f"{self.coeff.text()}[{self.exps.text()}]"
@@ -352,16 +359,18 @@ def extract_pair(ideal: HomogeneousIdeal, assume_divisorial: bool = False) -> Id
 
 # --- class decomposition -----------------------------------------------------
 
-@dataclass(frozen=True)
-class HomogeneousClass:
+class HomogeneousClass(Record):
     """A graded-ring ideal class in split form.
 
     ``coeff_form`` is the reduced form of the coefficient class (None marks the
     principal class), ``monoid_class`` the exponent-ideal class.
     """
 
-    coeff_form: QuadForm | None
-    monoid_class: MonoidClass
+    __slots__ = ("coeff_form", "monoid_class")
+
+    def __init__(self, coeff_form: QuadForm | None, monoid_class: MonoidClass):
+        _set(self, "coeff_form", coeff_form)
+        _set(self, "monoid_class", monoid_class)
 
 
 def _coefficient_class_form(ideal: CoeffIdeal) -> QuadForm | None:

@@ -14,18 +14,21 @@ Definitions as in Rosales & Garcia-Sanchez, *Numerical Semigroups* (2009).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .errors import CapabilityError, MismatchError
+from .records import Record, _set
 from .semigroups import MAX_WINDOW_BITS, NumericalSemigroup, _bit_positions
 
 
-@dataclass(frozen=True)
-class FractionalIdeal:
-    monoid: NumericalSemigroup
-    min_generators: tuple[int, ...]
-    members: int = field(repr=False)  # bit i set iff min + i is a member; negative
+class FractionalIdeal(Record, hidden=("members",)):
+    __slots__ = ("monoid", "min_generators", "members")
+
+    def __init__(self, monoid: NumericalSemigroup, min_generators: tuple[int, ...],
+                 members: int):  # bit i set iff min + i is a member; negative
+        _set(self, "monoid", monoid)
+        _set(self, "min_generators", min_generators)
+        _set(self, "members", members)
 
     @property
     def min(self) -> int:
@@ -41,7 +44,8 @@ class FractionalIdeal:
         return bool((self.members >> (g - self.min)) & 1)
 
     def shift(self, offset: int) -> "FractionalIdeal":
-        return replace(self, min_generators=tuple(m + offset for m in self.min_generators))
+        return FractionalIdeal(self.monoid, tuple(m + offset for m in self.min_generators),
+                               self.members)
 
     def text(self) -> str:
         gens = ",".join(str(m) for m in self.min_generators)
@@ -150,14 +154,16 @@ def is_t_invertible(y: FractionalIdeal) -> bool:
     return inverse(minkowski_sum(y, inverse(y))) == unit_ideal(y.monoid)
 
 
-@dataclass(frozen=True)
-class MonoidClass:
+class MonoidClass(Record):
     """A divisorial-class representative: the v-closure shifted to minimum 0."""
 
-    representative: FractionalIdeal
-    # equals class_is_trivial(self): every t-invertible ideal of a numerical
-    # semigroup is principal (graded.monoid_class_group_status)
-    invertible: bool
+    __slots__ = ("representative", "invertible")
+
+    def __init__(self, representative: FractionalIdeal, invertible: bool):
+        _set(self, "representative", representative)
+        # equals class_is_trivial(self): every t-invertible ideal of a
+        # numerical semigroup is principal (graded.monoid_class_group_status)
+        _set(self, "invertible", invertible)
 
 
 def class_reduce(y: FractionalIdeal) -> MonoidClass:

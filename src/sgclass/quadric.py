@@ -12,18 +12,20 @@ membership test enforces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .domains import exact
+from .records import Record, _set
 
 
-@dataclass(frozen=True)
-class QuadricElement:
+class QuadricElement(Record):
     """Normal-form element: sorted terms ((a, b, c), coeff) with b*c = 0."""
 
-    terms: tuple[tuple[tuple[int, int, int], int | Fraction], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[tuple[int, int, int], int | Fraction], ...]):
+        _set(self, "terms", terms)
 
     def __bool__(self):
         return bool(self.terms)

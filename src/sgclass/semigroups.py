@@ -12,13 +12,13 @@ answers whether it is integrally closed (it is) and refuses ideal arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
 from math import gcd
 
 from .domains import _prime_factors
 from .errors import CapabilityError, ParseError
+from .records import Record, _set
 
 # Widest member window, in bits, that a semigroup or an ideal may need.
 MAX_WINDOW_BITS = 1 << 20
@@ -27,21 +27,26 @@ MAX_WINDOW_BITS = 1 << 20
 _ZERO_DIGITS = bytes.maketrans(b"01", b"\x01\x00")
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(Record, compared=("generators", "scale"),
+                         hidden=("_gap_set",)):
     """A cofinite additive submonoid of Z+, normalized to gcd 1.
 
     ``generators`` is the minimal generating set of the normalized monoid;
     ``scale`` times the stored elements reproduces the monoid the user asked
     for.  ``conductor`` is the smallest bound above which every integer is a
-    member, and equals ``frobenius + 1``.
+    member, and equals ``frobenius + 1``.  The generators and the scale
+    determine the rest, so equality and hash read only those two.
     """
 
-    generators: tuple[int, ...]
-    scale: int
-    gaps: tuple[int, ...]
-    conductor: int
-    _gap_set: frozenset[int] = field(repr=False, compare=False, hash=False)
+    __slots__ = ("generators", "scale", "gaps", "conductor", "_gap_set")
+
+    def __init__(self, generators: tuple[int, ...], scale: int,
+                 gaps: tuple[int, ...], conductor: int, _gap_set: frozenset[int]):
+        _set(self, "generators", generators)
+        _set(self, "scale", scale)
+        _set(self, "gaps", gaps)
+        _set(self, "conductor", conductor)
+        _set(self, "_gap_set", _gap_set)
 
     @property
     def frobenius(self) -> int:
@@ -154,8 +159,7 @@ def from_generators(raw) -> NumericalSemigroup:
                               _gap_set=frozenset(gaps))
 
 
-@dataclass(frozen=True)
-class MonoidDescriptor:
+class MonoidDescriptor(Record):
     """Tagged union over the monoid kinds the tool accepts.
 
     Exactly one of ``semigroup`` and ``prime`` is set.  Only the finitely
@@ -163,14 +167,16 @@ class MonoidDescriptor:
     answers whether it is integrally closed and rejects everything else.
     """
 
-    semigroup: NumericalSemigroup | None = None
-    prime: int | None = None
+    __slots__ = ("semigroup", "prime")
 
-    def __post_init__(self):
-        if (self.semigroup is None) == (self.prime is None):
+    def __init__(self, semigroup: NumericalSemigroup | None = None,
+                 prime: int | None = None):
+        if (semigroup is None) == (prime is None):
             raise ValueError("exactly one of semigroup and prime must be given")
-        if self.prime is not None and _prime_factors(self.prime) != [self.prime]:
-            raise ValueError(f"{self.prime} is not prime")
+        if prime is not None and _prime_factors(prime) != [prime]:
+            raise ValueError(f"{prime} is not prime")
+        _set(self, "semigroup", semigroup)
+        _set(self, "prime", prime)
 
     @classmethod
     def numerical(cls, sgp: NumericalSemigroup) -> "MonoidDescriptor":

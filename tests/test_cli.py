@@ -5,7 +5,6 @@ import contextlib
 import io
 import json
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,7 +175,8 @@ def _drop_top_member(y):
     """y without its largest member below the stable bound: no longer closed
     under adding the multiplicity."""
     below = y.members & ((1 << (y.stable_bound - y.min)) - 1)
-    return replace(y, members=y.members ^ (1 << (below.bit_length() - 1)))
+    return mid.FractionalIdeal(y.monoid, y.min_generators,
+                               y.members ^ (1 << (below.bit_length() - 1)))
 
 
 @pytest.mark.parametrize("sgp", ["100,101", "300,301"])
