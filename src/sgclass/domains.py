@@ -437,7 +437,14 @@ def is_divisorial(i: CoeffIdeal) -> bool:
 
 
 def is_t_invertible(i: CoeffIdeal) -> bool:
-    return v_closure(mul(i, inverse(i))) == unit_ideal(i.domain)
+    """(i * i^-1)_v = D, the definition, judged as (z : z) = D for z = i^-1.
+
+    Every ideal J has (J_v)^-1 = J^-1, so J_v = D gives J^-1 = D^-1 = D,
+    and J^-1 = D gives J_v = (J^-1)^-1 = D: the definition reads
+    (D : i * z) = D.  And (D : i * z) = ((D : i) : z) = (z : z), because
+    x * i * z lies in D exactly when x * z lies in (D : i) = z."""
+    z = inverse(i)
+    return colon(z, z) == unit_ideal(i.domain)
 
 
 def is_principal(i: CoeffIdeal):

@@ -115,13 +115,18 @@ def minkowski_sum(y: FractionalIdeal, z: FractionalIdeal) -> FractionalIdeal:
     return _canonical(monoid, y.min + z.min, acc)
 
 
-def colon(y: FractionalIdeal, z: FractionalIdeal) -> FractionalIdeal:
-    """(y : z) = every g with g + z inside y, the meet of y - e over z's generators e."""
-    monoid = _require_same_monoid(y, z)
+def _colon_bits(y: FractionalIdeal, z: FractionalIdeal) -> int:
+    """The members of (y : z) as bits from y.min - z.min, not canonicalized."""
     acc = -1
     for e in z.min_generators:
         acc &= y.members >> (e - z.min)
-    return _canonical(monoid, y.min - z.min, acc)
+    return acc
+
+
+def colon(y: FractionalIdeal, z: FractionalIdeal) -> FractionalIdeal:
+    """(y : z) = every g with g + z inside y, the meet of y - e over z's generators e."""
+    monoid = _require_same_monoid(y, z)
+    return _canonical(monoid, y.min - z.min, _colon_bits(y, z))
 
 
 def inverse(y: FractionalIdeal) -> FractionalIdeal:
@@ -148,10 +153,24 @@ def is_principal(y: FractionalIdeal) -> bool:
 
 
 def is_t_invertible(y: FractionalIdeal) -> bool:
-    """(y + y^-1)_v = S, the definition, read as (y + y^-1)^-1 = S: every
-    ideal I has (I_v)^-1 = I^-1, so I_v = S gives I^-1 = S^-1 = S, and
-    I^-1 = S gives I_v = (I^-1)^-1 = S."""
-    return inverse(minkowski_sum(y, inverse(y))) == unit_ideal(y.monoid)
+    """(y + y^-1)_v = S, the definition, judged as (z : z) = S for z = y^-1.
+
+    Every ideal I has (I_v)^-1 = I^-1, so I_v = S gives I^-1 = S^-1 = S,
+    and I^-1 = S gives I_v = (I^-1)^-1 = S: the definition reads
+    (S : y + z) = S.  And (S : y + z) = ((S : y) : z) = (z : z), because
+    g + y + z lies in S exactly when g + z lies in (S : y) = z.  (z : z)
+    contains 0 and nothing below it, so its colon bits from 0 are its
+    members and compare directly with those of S.
+
+    >>> from sgclass.semigroups import from_generators
+    >>> s = from_generators([2, 3])
+    >>> is_t_invertible(ideal_from_generators(s, [0, 1]))
+    False
+    >>> is_t_invertible(ideal_from_generators(s, [0]))
+    True
+    """
+    z = inverse(y)
+    return _colon_bits(z, z) == unit_ideal(y.monoid).members
 
 
 class MonoidClass(Record):
@@ -237,11 +256,17 @@ def _judged_classes(monoid: NumericalSemigroup, bound: int, judge):
     A later group with shift s is the judged keys of top - s again, not
     judged twice and not shifted here.  Only a shift-invariant judge may be
     given: the verdict of a class stands for every shift in it."""
+    unit = unit_ideal(monoid).members
     by_top = []
     for top, keys in enumerate(_class_keys(monoid, bound)):
         judged = []
         for key in keys:
-            judged.append((key, judge(ideal_from_generators(monoid, key))))
+            # an antichain with minimum 0 is its own set of minimal generators
+            _require_window(monoid, 0, top)
+            members = 0
+            for f in key:
+                members |= unit << f
+            judged.append((key, judge(FractionalIdeal(monoid, key, members))))
             yield 0, judged[-1:]
         by_top.append(judged)
         for s in range(1, top + 1):

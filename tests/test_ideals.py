@@ -314,6 +314,59 @@ def test_sweep_matches_the_per_antichain_reference(gens, fake, monkeypatch):
 
 
 @pytest.mark.parametrize("gens", SWEEP_POOL)
+def test_sweep_judges_each_key_ideal_as_generated(gens):
+    """The ideal the sweep builds for a key from S's member bits is the one
+    ``ideal_from_generators`` builds, minimal generators and members alike."""
+    monoid = from_generators(gens)
+    bound = monoid.frobenius + 3
+    handed = []
+    for _ in mid._judged_classes(monoid, bound, handed.append):
+        pass
+    keys = [key for keys in mid._class_keys(monoid, bound) for key in keys]
+    assert [y.min_generators for y in handed] == keys
+    for y in handed:
+        expected = mid.ideal_from_generators(monoid, y.min_generators)
+        assert y == expected
+        assert y.min_generators == expected.min_generators
+        assert y.members == expected.members
+
+
+def test_sweep_refuses_a_key_wider_than_the_window(monkeypatch):
+    """At 3,5 (conductor 8) the key (0,) needs 8 bits and the first
+    non-principal key, (0, 1), needs 9."""
+    monkeypatch.setattr(mid, "MAX_WINDOW_BITS", 8)
+    with pytest.raises(CapabilityError) as refused:
+        mid.search_nonprincipal_t_invertible(S35, 10)
+    assert str(refused.value) == "generators 0..1 need a window of more than 8 bits"
+
+
+def _counting(monkeypatch, name):
+    """Replace ``mid.name`` by a wrapper that counts its calls."""
+    calls = []
+    real = getattr(mid, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(mid, name, counted)
+    return calls
+
+
+def test_sweep_judges_with_one_colon_and_no_sum(monkeypatch):
+    """Each judgment is one inverse and the colon bits of (z : z); the keys
+    are built without ``ideal_from_generators``."""
+    monoid = from_generators([7, 9, 11])
+    mid.unit_ideal(monoid)
+    counts = {name: _counting(monkeypatch, name) for name in
+              ("minkowski_sum", "ideal_from_generators", "colon", "is_t_invertible")}
+    assert mid.search_nonprincipal_t_invertible(monoid, 9) is None
+    assert counts["minkowski_sum"] == []
+    assert counts["ideal_from_generators"] == []
+    assert len(counts["is_t_invertible"]) > 0
+    assert len(counts["colon"]) == len(counts["is_t_invertible"])
+
+
+@pytest.mark.parametrize("gens", SWEEP_POOL)
 def test_class_keys_count_the_normalized_ideals(gens):
     monoid = from_generators(gens)
     expected = NORMALIZED_COUNTS[gens]
@@ -357,10 +410,10 @@ THEOREM_POOL = ((2, 3), (3, 5), (3, 4, 5), (4, 6, 9), (5, 7), (4, 5, 6),
 @pytest.mark.parametrize("gens", THEOREM_POOL)
 def test_t_invertible_classes_are_principal(gens):
     """Every t-invertible ideal of a numerical semigroup is principal
-    (graded.monoid_class_group_status), checked with the definitional judge
-    on every normalized class; the maximal ideal is divisorial.  The judge
-    (y + y^-1)^-1 = S agrees with the definition (y + y^-1)_v = S on every
-    class and on shifts of it."""
+    (graded.monoid_class_group_status), checked with ``is_t_invertible`` on
+    every normalized class; the maximal ideal is divisorial.  Its judge
+    (Y^-1 : Y^-1) = S agrees with the definition (y + y^-1)_v = S, the
+    reference here, on every class and on shifts of it."""
     monoid = from_generators(gens)
     unit = mid.unit_ideal(monoid)
     keys = [key for keys in mid._class_keys(monoid, monoid.frobenius)
