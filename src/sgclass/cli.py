@@ -17,7 +17,7 @@ from . import ideals as mid
 from . import quadric as qdr
 from . import suites
 from .errors import ExponentCapError, ParseError
-from .semigroups import _bit_positions, parse_int_list, parse_monoid
+from .semigroups import _wide_bit_positions, parse_int_list, parse_monoid
 from .suites import check
 
 SEED_ENV = "SGCLASS_SEED"
@@ -150,7 +150,7 @@ def _is_v_closure(sgp, ygens, ideal) -> bool:
     in each class mod m its least member w lies in Y_v and w - m does not."""
     m, members = sgp.multiplicity, ideal.members
     in_v = suites.v_oracle(sgp, ygens)
-    least = (ideal.min + i for i in _bit_positions(members & ~(members << m)))
+    least = (ideal.min + i for i in _wide_bit_positions(members & ~(members << m)))
     return not members & ~(members >> m) and all(in_v(w) and not in_v(w - m) for w in least)
 
 
@@ -213,8 +213,7 @@ def _demo_ex111(args, seed, checks):
     report = qdr.verify_unit_identity()
     checks.extend(report["checks"])
     return {"identity_value": report["identity_value"],
-            "generators": {k: v.text()
-                           for k, v in qdr.standard_generators().items()}}
+            "generators": report["generators"]}
 
 
 def _demo_ex112(args, seed, checks):

@@ -169,8 +169,9 @@ def is_t_invertible(y: FractionalIdeal) -> bool:
     >>> is_t_invertible(ideal_from_generators(s, [0]))
     True
     """
-    z = inverse(y)
-    return _colon_bits(z, z) == unit_ideal(y.monoid).members
+    unit = unit_ideal(y.monoid)
+    z = colon(unit, y)
+    return _colon_bits(z, z) == unit.members
 
 
 class MonoidClass(Record):

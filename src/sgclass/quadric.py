@@ -141,7 +141,8 @@ def standard_generators() -> dict[str, QuadricElement]:
 
 def verify_unit_identity() -> dict:
     """Check that the combination of products below collapses to 1, that all
-    nine cross products lie in the subring, and that x alone does not."""
+    nine cross products lie in the subring, and that x alone does not; the
+    report carries the texts of the six standard generators it used."""
     g = standard_generators()
     x = x_pow(1)
     be_cd = g["b"] * g["e"] - g["c"] * g["d"]
@@ -170,6 +171,7 @@ def verify_unit_identity() -> dict:
     return {
         "operation": "unit_identity",
         "identity_value": combo.text(),
+        "generators": {name: gen.text() for name, gen in g.items()},
         "checks": checks,
         "ok": all(c["status"] == "pass" for c in checks),
     }

@@ -5,7 +5,9 @@ user's generators is divided out and remembered as ``scale``, so the stored
 monoid always generates the full group of integers.  Its members in [0, size)
 are one int bit set, closed under each generator by doubling shifts; gaps,
 conductor, minimal generators and Apery sets are read off it, and a window
-wider than ``MAX_WINDOW_BITS`` is refused before it is built.  The p-power
+wider than ``MAX_WINDOW_BITS`` is refused before it is built.  Membership
+reads one byte per integer below the conductor, 1 at a gap, and an Apery set
+is read from the binary text of one bit set.  The p-power
 cone is the union of the chains (1/p^n)Z+ inside the rationals; it only
 answers whether it is integrally closed (it is) and refuses ideal arithmetic.
 """
@@ -28,7 +30,7 @@ _ZERO_DIGITS = bytes.maketrans(b"01", b"\x01\x00")
 
 
 class NumericalSemigroup(Record, compared=("generators", "scale"),
-                         hidden=("_gap_set",)):
+                         hidden=("_gap_bytes",)):
     """A cofinite additive submonoid of Z+, normalized to gcd 1.
 
     ``generators`` is the minimal generating set of the normalized monoid;
@@ -36,17 +38,21 @@ class NumericalSemigroup(Record, compared=("generators", "scale"),
     for.  ``conductor`` is the smallest bound above which every integer is a
     member, and equals ``frobenius + 1``.  The generators and the scale
     determine the rest, so equality and hash read only those two.
+
+    ``contains`` reads one byte of the hidden ``_gap_bytes``, byte i being 1
+    exactly when i < conductor is a gap; ``apery`` reads the set bits of one
+    member bit set from its binary text.
     """
 
-    __slots__ = ("generators", "scale", "gaps", "conductor", "_gap_set")
+    __slots__ = ("generators", "scale", "gaps", "conductor", "_gap_bytes")
 
     def __init__(self, generators: tuple[int, ...], scale: int,
-                 gaps: tuple[int, ...], conductor: int, _gap_set: frozenset[int]):
+                 gaps: tuple[int, ...], conductor: int, _gap_bytes: bytes):
         _set(self, "generators", generators)
         _set(self, "scale", scale)
         _set(self, "gaps", gaps)
         _set(self, "conductor", conductor)
-        _set(self, "_gap_set", _gap_set)
+        _set(self, "_gap_bytes", _gap_bytes)
 
     @property
     def frobenius(self) -> int:
@@ -57,9 +63,8 @@ class NumericalSemigroup(Record, compared=("generators", "scale"),
         return self.generators[0]
 
     def contains(self, g: int) -> bool:
-        if g < 0:
-            return False
-        return g >= self.conductor or g not in self._gap_set
+        # a negative index would wrap round to the end of the bytes
+        return g >= 0 and (g >= self.conductor or not self._gap_bytes[g])
 
     def member_bits(self, size: int) -> int:
         """Bitmask of the members in [0, size); bit i is set iff i is a member."""
@@ -73,7 +78,7 @@ class NumericalSemigroup(Record, compared=("generators", "scale"),
         if n == 0 or not self.contains(n):
             raise ValueError(f"{n} is not a nonzero member of the semigroup")
         members = self.member_bits(self.conductor + n)
-        return _bit_positions(members & ~(members << n))
+        return _wide_bit_positions(members & ~(members << n))
 
     def is_integrally_closed(self) -> bool:
         return not self.gaps
@@ -95,6 +100,20 @@ def _bit_positions(bits: int) -> list[int]:
         low = bits & -bits
         positions.append(low.bit_length() - 1)
         bits ^= low
+    return positions
+
+
+def _wide_bit_positions(bits: int) -> list[int]:
+    """The indices of the set bits of a non-negative ``bits``, ascending, read
+    from its binary text with one C-level search per set bit; for a few set
+    bits spread over a wide int, where ``_bit_positions`` pays the width once
+    per bit."""
+    digits = format(bits, "b")[::-1]
+    positions = []
+    i = digits.find("1")
+    while i >= 0:
+        positions.append(i)
+        i = digits.find("1", i + 1)
     return positions
 
 
@@ -155,8 +174,7 @@ def from_generators(raw) -> NumericalSemigroup:
     # the zero bits below the conductor, read in one C-level pass
     zeros = format(reach, "b")[::-1][:conductor].encode().translate(_ZERO_DIGITS)
     gaps = tuple(compress(range(conductor), zeros))
-    return NumericalSemigroup(tuple(minimal), scale, gaps, conductor,
-                              _gap_set=frozenset(gaps))
+    return NumericalSemigroup(tuple(minimal), scale, gaps, conductor, zeros)
 
 
 class MonoidDescriptor(Record):

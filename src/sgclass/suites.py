@@ -313,20 +313,28 @@ def northcott_search():
     """Exhaustive sweep for a pair with nonzero content exponent over the
     non-maximal order of radicand -3: linear elements c0 + c1·X whose
     coefficients have coordinates in [-1, 1].  The answer is fixed, so it is
-    computed once."""
+    computed once.
+
+    The exponent of a pair is 0 exactly when C(xy) = C(x)·C(y): that is the
+    defining equation C(x)^N·C(xy) = C(x)^(N+1)·C(y) at N = 0, and equal
+    ideals are equal records.  So each element's content is read once, each
+    pair is tested by that equation on its graded product, and
+    ``dedekind_mertens_exponent`` runs only on the first pair that fails it,
+    which is the first pair of the scan with an exponent of at least 1."""
     domain = dom.CoefficientDomain.z_sqrt(-3)
     sgp = from_generators([1])
     pool = [domain.element(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if x or y]
     linear = [grd.graded_element(domain, sgp, [(0, c0), (1, c1)])
               for c0 in pool for c1 in pool]
+    contents = [grd.content(x) for x in linear]
     examined = 0
-    for x_elem in linear:
-        for y_elem in linear:
+    for x_elem, cx in zip(linear, contents):
+        for y_elem, cy in zip(linear, contents):
             examined += 1
-            n = grd.dedekind_mertens_exponent(x_elem, y_elem)
-            if n >= 1:
+            if grd.content(x_elem * y_elem) != dom.mul(cx, cy):
                 return {"x": x_elem.text(), "y": y_elem.text(),
-                        "exponent": n, "examined": examined}
+                        "exponent": grd.dedekind_mertens_exponent(x_elem, y_elem),
+                        "examined": examined}
     return None
 
 

@@ -1,6 +1,6 @@
 """Membership, normalization, and Apery sets against a brute-force model."""
 
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd
 
 import pytest
@@ -122,9 +122,10 @@ def test_two_generator_gaps_follow_sylvester():
 
 def closure(raw):
     """(minimal generators, scale, gaps, conductor) of the monoid generated
-    by ``raw``, by filling a member table up to Schur's bound: with gcd 1
+    by ``raw``, and its member table, filled up to Schur's bound: with gcd 1
     and a_1 < ... < a_k, the Frobenius number is below (a_1 - 1)(a_k - 1)
-    (A. Brauer, Amer. J. Math. 64, 1942)."""
+    (A. Brauer, Amer. J. Math. 64, 1942), so the table reaches the
+    conductor plus the multiplicity a_1."""
     scale = gcd(*raw)
     gens = sorted(g // scale for g in raw)
     bound = (gens[0] - 1) * (gens[-1] - 1) + gens[-1]
@@ -136,17 +137,37 @@ def closure(raw):
                 member[n] = 1
     gaps = tuple(n for n in range(bound) if not member[n])
     minimal = tuple(g for g in gens if not any(member[g - h] for h in gens if h < g))
-    return minimal, scale, gaps, gaps[-1] + 1 if gaps else 0
+    return (minimal, scale, gaps, gaps[-1] + 1 if gaps else 0), member
 
 
 def test_construction_matches_the_closure_on_every_small_generator_set():
     """Every set of one to three generators in 1..39, 9,919 sets.  A window
     that stops at m - 1 top members instead of m first fails on ``5,11,16``:
-    conductor 30, where it is 40."""
+    conductor 30, where it is 40.  Membership is compared on
+    [-2, conductor + m) and Ap(S, m) is the least member of each residue
+    class mod the multiplicity m, read off the table."""
     for k in (1, 2, 3):
         for raw in combinations(range(1, 40), k):
             s = from_generators(raw)
-            assert (s.generators, s.scale, s.gaps, s.conductor) == closure(raw), raw
+            invariants, member = closure(raw)
+            assert (s.generators, s.scale, s.gaps, s.conductor) == invariants, raw
+            m = s.multiplicity
+            top = s.conductor + m
+            assert [s.contains(n) for n in range(-2, top)] == \
+                [False, False, *map(bool, member[:top])], raw
+            least = {}
+            for n in compress(range(top), member):
+                least.setdefault(n % m, n)
+            assert s.apery(m) == sorted(least.values()), raw
+
+
+@pytest.mark.parametrize("a, b", [(237, 248), (700, 701)])
+def test_wide_apery_sets_are_the_multiples_of_the_second_generator(a, b):
+    """Ap(<a, b>, a) = {k*b : 0 <= k < a} for coprime a < b: k*b with k < a
+    is not a member minus a, and the k*b cover the residues mod a."""
+    s = from_generators([a, b])
+    assert s.apery(a) == [k * b for k in range(a)]
+    assert all(s.contains(k * b) and not s.contains(k * b - a) for k in range(a))
 
 
 def test_apery_requires_member():

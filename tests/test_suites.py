@@ -307,3 +307,29 @@ def test_decomposition_judges_principality_without_is_principal(monkeypatch):
     monkeypatch.setattr(dom, "is_principal", lambda i: (
         None if i.domain.kind == "quadratic" else is_principal(i)))
     assert suites.suite_decomposition(0, 100)["failures"] > 0
+
+
+def test_northcott_search_matches_the_definitional_scan():
+    """The search tests exponent 0 as C(xy) = C(x)C(y); the reference computes
+    ``dedekind_mertens_exponent`` on every pair, in the same order, up to the
+    first one at least 1."""
+    domain = dom.CoefficientDomain.z_sqrt(-3)
+    sgp = from_generators([1])
+    pool = [domain.element(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if x or y]
+    linear = [grd.graded_element(domain, sgp, [(0, c0), (1, c1)])
+              for c0 in pool for c1 in pool]
+
+    def reference():
+        examined = 0
+        for x in linear:
+            for y in linear:
+                examined += 1
+                n = grd.dedekind_mertens_exponent(x, y)
+                if n >= 1:
+                    return {"x": x.text(), "y": y.text(), "exponent": n,
+                            "examined": examined}
+
+    expected = reference()
+    assert expected == {"x": "-1-w+(-1+w)*X", "y": "-1+w+(-1-w)*X",
+                        "exponent": 1, "examined": 145}
+    assert suites.northcott_search() == expected
