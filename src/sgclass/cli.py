@@ -177,14 +177,14 @@ def _cmd_sgp_ideal(args, seed, checks):
     elif op == "t":
         result = mid.t_closure(y)
     else:
-        reduced = mid.class_reduce(y)
-        result = reduced.representative
+        result = mid.class_reduce(y)
         check(checks, "class representative is divisorial",
               mid.is_divisorial(result), result.text())
+        representative = result.to_json()
         return {"monoid": sgp.text(), "input": y.to_json(), "op": op,
-                "representative": result.to_json(),
-                "invertible": reduced.invertible,
-                "trivial": mid.class_is_trivial(reduced)}
+                "representative": representative,
+                "invertible": representative["invertible"],
+                "trivial": mid.class_is_trivial(result)}
     results = {"monoid": sgp.text(), "input": y.to_json(), "op": op,
                "result": result.to_json(), "result_text": result.text()}
     if op in ("v", "inverse"):

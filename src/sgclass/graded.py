@@ -21,7 +21,7 @@ from .errors import (
     MismatchError,
     ParseError,
 )
-from .ideals import FractionalIdeal, MonoidClass
+from .ideals import FractionalIdeal
 from .records import Record, _set
 from .semigroups import MonoidDescriptor, NumericalSemigroup
 
@@ -363,12 +363,13 @@ class HomogeneousClass(Record):
     """A graded-ring ideal class in split form.
 
     ``coeff_form`` is the reduced form of the coefficient class (None marks the
-    principal class), ``monoid_class`` the exponent-ideal class.
+    principal class), ``monoid_class`` the exponent-ideal class as its
+    representative, the ideal that ``ideals.class_reduce`` returns.
     """
 
     __slots__ = ("coeff_form", "monoid_class")
 
-    def __init__(self, coeff_form: QuadForm | None, monoid_class: MonoidClass):
+    def __init__(self, coeff_form: QuadForm | None, monoid_class: FractionalIdeal):
         _set(self, "coeff_form", coeff_form)
         _set(self, "monoid_class", monoid_class)
 
@@ -390,7 +391,7 @@ def lift_coefficient_class(ideal: CoeffIdeal, monoid: NumericalSemigroup
     if not dom.is_t_invertible(ideal):
         raise CapabilityError("class lift needs a t-invertible ideal")
     return HomogeneousClass(_coefficient_class_form(ideal),
-                            mid.class_reduce(mid.unit_ideal(monoid)))
+                            mid.unit_ideal(monoid))
 
 
 def decompose_class(pair: IdealPair) -> HomogeneousClass:

@@ -174,26 +174,17 @@ def is_t_invertible(y: FractionalIdeal) -> bool:
     return _colon_bits(z, z) == unit.members
 
 
-class MonoidClass(Record):
-    """A divisorial-class representative: the v-closure shifted to minimum 0."""
-
-    __slots__ = ("representative", "invertible")
-
-    def __init__(self, representative: FractionalIdeal, invertible: bool):
-        _set(self, "representative", representative)
-        # equals class_is_trivial(self): every t-invertible ideal of a
-        # numerical semigroup is principal (graded.monoid_class_group_status)
-        _set(self, "invertible", invertible)
-
-
-def class_reduce(y: FractionalIdeal) -> MonoidClass:
+def class_reduce(y: FractionalIdeal) -> FractionalIdeal:
+    """The divisorial class of y as its representative, the v-closure shifted
+    to minimum 0.  It is t-invertible exactly when it is trivial: every
+    t-invertible ideal of a numerical semigroup is principal
+    (``graded.monoid_class_group_status``)."""
     v = v_closure(y)
-    rep = v.shift(-v.min)
-    return MonoidClass(rep, is_t_invertible(rep))
+    return v.shift(-v.min)
 
 
-def class_is_trivial(c: MonoidClass) -> bool:
-    return c.representative == unit_ideal(c.representative.monoid)
+def class_is_trivial(rep: FractionalIdeal) -> bool:
+    return rep == unit_ideal(rep.monoid)
 
 
 def _class_keys(monoid: NumericalSemigroup, bound: int):
@@ -204,7 +195,8 @@ def _class_keys(monoid: NumericalSemigroup, bound: int):
     elements e that may lie between 0 and ``top`` start as those with e and
     top - e in G, and choosing e keeps only G << e."""
     c = monoid.conductor
-    gaps = ((1 << c) - 1) ^ monoid.member_bits(c)
+    window = (1 << c) - 1
+    gaps = window ^ monoid.member_bits(c)
 
     def extend(prefix: tuple[int, ...], top: int, candidates: int):
         while candidates:
@@ -214,7 +206,7 @@ def _class_keys(monoid: NumericalSemigroup, bound: int):
             yield from extend(prefix + (e,), top, candidates & (gaps << e))
         yield prefix + (top,)
 
-    below = 0  # bit e set iff top - e is a gap
+    below = 0  # bit e set iff top - e is a gap, kept to e < c: gaps lie below c
     for top in range(bound + 1):
         if top == 0:
             yield [(0,)]
@@ -222,7 +214,7 @@ def _class_keys(monoid: NumericalSemigroup, bound: int):
             yield list(extend((0,), top, below & gaps))
         else:
             yield []
-        below = (below << 1) | ((gaps >> (top + 1)) & 1)
+        below = ((below << 1) | ((gaps >> (top + 1)) & 1)) & window
 
 
 def canonical_generator_sets(monoid: NumericalSemigroup, bound: int):
@@ -233,14 +225,12 @@ def canonical_generator_sets(monoid: NumericalSemigroup, bound: int):
     maximum first, then lexicographic, so the sweep is deterministic.  The
     antichains with maximum ``top`` and minimum s are the class keys with
     maximum top - s shifted by s, so each top lists its own keys, then the
-    keys of top - 1 shifted by 1, and so on down to (top,).
+    keys of top - 1 shifted by 1, and so on down to (top,): the walk of
+    ``_judged_classes``, with nothing judged.
     """
-    by_top = []
-    for top, keys in enumerate(_class_keys(monoid, bound)):
-        by_top.append(keys)
-        for s in range(top + 1):
-            for key in by_top[top - s]:
-                yield tuple(g + s for g in key)
+    for shift, group in _judged_classes(monoid, bound, lambda y: None):
+        for key, _ in group:
+            yield tuple(g + shift for g in key)
 
 
 def class_key(gens: tuple[int, ...]) -> tuple[int, ...]:
@@ -256,9 +246,11 @@ def _judged_classes(monoid: NumericalSemigroup, bound: int, judge):
     it generates, where it first appears: at shift 0, in a group of its own.
     A later group with shift s is the judged keys of top - s again, not
     judged twice and not shifted here.  Only a shift-invariant judge may be
-    given: the verdict of a class stands for every shift in it."""
+    given: the verdict of a class stands for every shift in it.  Keys exist
+    only at top 0 and at the gaps, so the walk visits only the tops that
+    have keys, not every shift below each top."""
     unit = unit_ideal(monoid).members
-    by_top = []
+    filled = []  # (top, judged keys) for each earlier top with keys
     for top, keys in enumerate(_class_keys(monoid, bound)):
         judged = []
         for key in keys:
@@ -269,10 +261,10 @@ def _judged_classes(monoid: NumericalSemigroup, bound: int, judge):
                 members |= unit << f
             judged.append((key, judge(FractionalIdeal(monoid, key, members))))
             yield 0, judged[-1:]
-        by_top.append(judged)
-        for s in range(1, top + 1):
-            if by_top[top - s]:
-                yield s, by_top[top - s]
+        for k, group in reversed(filled):
+            yield top - k, group
+        if judged:
+            filled.append((top, judged))
 
 
 def search_nonprincipal_t_invertible(monoid: NumericalSemigroup, bound: int,

@@ -3,13 +3,14 @@
 A numerical semigroup here is stored in normalized form: the gcd of the
 user's generators is divided out and remembered as ``scale``, so the stored
 monoid always generates the full group of integers.  Its members in [0, size)
-are one int bit set, closed under each generator by doubling shifts; gaps,
+are one int bit set, closed under each generator by doubling shifts; the
 conductor, minimal generators and Apery sets are read off it, and a window
-wider than ``MAX_WINDOW_BITS`` is refused before it is built.  Membership
-reads one byte per integer below the conductor, 1 at a gap, and an Apery set
-is read from the binary text of one bit set.  The p-power
-cone is the union of the chains (1/p^n)Z+ inside the rationals; it only
-answers whether it is integrally closed (it is) and refuses ideal arithmetic.
+wider than ``MAX_WINDOW_BITS`` is refused before it is built.  It keeps one
+byte per integer below the conductor, 1 at a gap: membership reads one byte,
+and the gaps are read off the bytes on demand.  An Apery set is read from the
+binary text of one bit set.  The p-power cone is the union of the chains
+(1/p^n)Z+ inside the rationals; it only answers whether it is integrally
+closed (it is) and refuses ideal arithmetic.
 """
 
 from __future__ import annotations
@@ -39,20 +40,24 @@ class NumericalSemigroup(Record, compared=("generators", "scale"),
     member, and equals ``frobenius + 1``.  The generators and the scale
     determine the rest, so equality and hash read only those two.
 
-    ``contains`` reads one byte of the hidden ``_gap_bytes``, byte i being 1
-    exactly when i < conductor is a gap; ``apery`` reads the set bits of one
-    member bit set from its binary text.
+    The hidden ``_gap_bytes`` hold one byte per integer below the conductor,
+    byte i being 1 exactly when i is a gap.  ``contains`` reads one of them;
+    ``gaps`` reads them all, building a new tuple on each call, and ``apery``
+    reads the set bits of one member bit set from its binary text.
     """
 
-    __slots__ = ("generators", "scale", "gaps", "conductor", "_gap_bytes")
+    __slots__ = ("generators", "scale", "conductor", "_gap_bytes")
 
-    def __init__(self, generators: tuple[int, ...], scale: int,
-                 gaps: tuple[int, ...], conductor: int, _gap_bytes: bytes):
+    def __init__(self, generators: tuple[int, ...], scale: int, conductor: int,
+                 _gap_bytes: bytes):
         _set(self, "generators", generators)
         _set(self, "scale", scale)
-        _set(self, "gaps", gaps)
         _set(self, "conductor", conductor)
         _set(self, "_gap_bytes", _gap_bytes)
+
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        return tuple(compress(range(self.conductor), self._gap_bytes))
 
     @property
     def frobenius(self) -> int:
@@ -81,7 +86,7 @@ class NumericalSemigroup(Record, compared=("generators", "scale"),
         return _wide_bit_positions(members & ~(members << n))
 
     def is_integrally_closed(self) -> bool:
-        return not self.gaps
+        return self.conductor == 0
 
     def text(self) -> str:
         """Normalized generators as a comma list, e.g. ``2,3``."""
@@ -173,8 +178,7 @@ def from_generators(raw) -> NumericalSemigroup:
     conductor = (~reach & ((1 << size) - 1)).bit_length()
     # the zero bits below the conductor, read in one C-level pass
     zeros = format(reach, "b")[::-1][:conductor].encode().translate(_ZERO_DIGITS)
-    gaps = tuple(compress(range(conductor), zeros))
-    return NumericalSemigroup(tuple(minimal), scale, gaps, conductor, zeros)
+    return NumericalSemigroup(tuple(minimal), scale, conductor, zeros)
 
 
 class MonoidDescriptor(Record):

@@ -54,16 +54,33 @@ def test_ideal_sum_needs_second_operand():
 
 
 def test_ideal_class_reduction():
-    code, report = cli.run(["sgp", "ideal", "--sgp", "2,3", "--gens", "2,3",
-                            "--op", "class"])
+    def reduce(sgp, gens):
+        code, report = cli.run(["sgp", "ideal", "--sgp", sgp, "--gens", gens,
+                                "--op", "class"])
+        assert code == 0
+        results = report["results"]
+        assert results["invertible"] == results["representative"]["invertible"]
+        return results
+
+    results = reduce("2,3", "2,3")
+    assert results["representative"]["generators"] == [0, 1]
+    assert results["invertible"] is False
+    assert results["trivial"] is False
+    results = reduce("3,5", "7")
+    assert results["invertible"] is True
+    assert results["trivial"] is True
+    assert reduce("3,5", "0,1")["trivial"] is False
+
+
+def test_info_on_the_whole_line_has_conductor_zero():
+    code, report = cli.run(["sgp", "info", "--sgp", "1"])
     assert code == 0
-    assert report["results"]["representative"]["generators"] == [0, 1]
-    assert report["results"]["invertible"] is False
-    assert report["results"]["trivial"] is False
-    code, report = cli.run(["sgp", "ideal", "--sgp", "3,5", "--gens", "7",
-                            "--op", "class"])
-    assert code == 0
-    assert report["results"]["trivial"] is True
+    results = report["results"]
+    assert results["gaps"] == [] and results["conductor"] == 0
+    assert results["frobenius"] == -1
+    assert results["apery"] == [0]
+    assert results["integrally_closed"] is True
+    assert statuses(report) == ["pass"]
 
 
 def test_search_command_reports_empty_sweep():

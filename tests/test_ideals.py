@@ -235,6 +235,16 @@ def test_search_reports_progress():
     assert len(seen) == 241
 
 
+def test_search_walks_only_the_tops_with_keys():
+    """2,3 has keys only at tops 0 and 1, so each top adds two antichains
+    and costs two steps; a walk over every shift below each top is quadratic
+    in the bound and takes minutes here."""
+    seen = []
+    assert mid.search_nonprincipal_t_invertible(
+        S23, 100_000, lambda n, g: seen.append((n, g))) is None
+    assert seen[-2:] == [(200_000, (99_999, 100_000)), (200_001, None)]
+
+
 # --- references for the sweep: one judgment per antichain, set lookups ------
 
 def reference_generator_sets(monoid, bound):
@@ -390,7 +400,7 @@ def test_class_arithmetic_on_principals():
     assert mid.class_is_trivial(mid.class_reduce(mid.minkowski_sum(a, b)))
     assert mid.class_is_trivial(mid.class_reduce(mid.inverse(a)))
     y0 = mid.class_reduce(mid.ideal_from_generators(S23, [2, 3]))
-    assert not y0.invertible
+    assert not mid.is_t_invertible(y0)
     assert not mid.class_is_trivial(y0)
 
 

@@ -1,5 +1,6 @@
 """Membership, normalization, and Apery sets against a brute-force model."""
 
+import tracemalloc
 from itertools import combinations, compress
 from math import gcd
 
@@ -51,6 +52,19 @@ def test_whole_line_is_integrally_closed():
     assert s.conductor == 0
     assert s.is_integrally_closed()
     assert s.apery(1) == [0]
+
+
+def test_a_large_semigroup_keeps_one_byte_per_integer_below_the_conductor():
+    """700,701 has conductor 489,300 and 244,650 gaps.  The gap bytes take
+    0.49 MB; a stored tuple of the gaps would add about 9.8 MB."""
+    tracemalloc.start()
+    try:
+        s = from_generators([700, 701])
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.conductor == 489_300
+    assert kept < 2 << 20
 
 
 def test_gcd_normalization_keeps_scale():
