@@ -256,37 +256,35 @@ def _demo_ex218(args, seed, checks):
     sgp = _numerical("2,3" if args.sgp is None else args.sgp)
     # the minimal generators of a monoid are an antichain, ascending
     gap_class = mid.class_key(sgp.generators)
-    total = principal = shifted = other = 0
+    total = principal = shifted = 0
+    nondivisorial_keys = set()
+    # Divisoriality is shift-invariant, so each class is judged once, at its
+    # key, and stands for its bound - top + 1 shifts in the enumeration.
+    for y in mid.normalized_classes(sgp, bound):
+        key = y.min_generators
+        shifts = bound - key[-1] + 1
+        total += shifts
+        if not mid.is_divisorial(y):
+            nondivisorial_keys.add(key)
+        if len(key) == 1:
+            principal += shifts
+        elif key == gap_class:
+            shifted += shifts
     nondivisorial = []
-    witness = None
-    # Divisoriality and t-invertibility are shift-invariant, so each class is
-    # judged once, at its key.  One grouped walk in the order of
-    # mid.search_nonprincipal_t_invertible, so the first non-principal
-    # t-invertible ideal met is the search's witness.  Such a witness would be
-    # a kernel bug: every t-invertible ideal of a numerical semigroup is
-    # principal (graded.monoid_class_group_status).
-    classes = mid._judged_classes(sgp, bound, lambda y: (
-        mid.is_divisorial(y), not mid.is_principal(y) and mid.is_t_invertible(y)))
-    for shift, group in classes:
-        total += len(group)
-        for key, (divisorial, invertible) in group:
-            if not divisorial and len(nondivisorial) < 3:
-                gens = [g + shift for g in key]
+    if nondivisorial_keys:  # the first three in the enumeration
+        for gens in mid.canonical_generator_sets(sgp, bound):
+            if mid.class_key(gens) in nondivisorial_keys:
                 nondivisorial.append(mid.ideal_from_generators(sgp, gens).text())
-            if len(key) == 1:
-                principal += 1
-                continue
-            if witness is None and invertible:  # met first at shift 0
-                witness = mid.ideal_from_generators(sgp, key)
-            if key == gap_class:
-                shifted += 1
-            else:
-                other += 1
+                if len(nondivisorial) == 3:
+                    break
+    # a witness would be a kernel bug: every t-invertible ideal of a
+    # numerical semigroup is principal (graded.monoid_class_group_status)
+    witness = mid.search_nonprincipal_t_invertible(sgp, bound)
     check(checks, "every enumerated ideal is divisorial", not nondivisorial,
           f"{total} ideals" if not nondivisorial
           else f"counterexamples: {nondivisorial}")
     check(checks, "non-principal ideals are shifts of the gap-filling ideal",
-          other == 0, f"{principal} principal, {shifted} shifted")
+          principal + shifted == total, f"{principal} principal, {shifted} shifted")
     check(checks, "no non-principal t-invertible ideal", witness is None,
           f"bound {bound}")
     return {"monoid": sgp.text(), "bound": bound, "ideals": total,

@@ -24,6 +24,7 @@ from math import gcd, isqrt, lcm, prod
 
 from .errors import CapabilityError, MismatchError, ParseError
 from .records import Record, _set
+from .semigroups import _prime_factors
 
 
 def exact(value) -> int | Fraction:
@@ -58,24 +59,6 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-# Largest |n| that `_prime_factors` accepts: at most 2^20 trial divisions.
-MAX_TRIAL_DIVISION = 1 << 40
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The prime factors of |n| with multiplicity, ascending, by trial
-    division; |n| above ``MAX_TRIAL_DIVISION`` raises ``CapabilityError``."""
-    if abs(n) > MAX_TRIAL_DIVISION:
-        raise CapabilityError(f"{n} is too large to factor (|n| > {MAX_TRIAL_DIVISION})")
-    n, factors, f = abs(n), [], 2
-    while f * f <= n:
-        while n % f == 0:
-            factors.append(f)
-            n //= f
-        f += 1
-    return factors + [n] if n > 1 else factors
 
 
 def _is_squarefree(n: int) -> bool:

@@ -188,12 +188,15 @@ def class_is_trivial(rep: FractionalIdeal) -> bool:
 
 
 def _class_keys(monoid: NumericalSemigroup, bound: int):
-    """Yield, for each top in [0, bound], the list of antichains that contain
-    0 and top, in lexicographic order: the normalized classes (minimum 0)
-    whose largest minimal generator is top.  The list is empty unless top is
-    0 or a gap.  Candidate sets are gap bit sets: with G the gaps, the
-    elements e that may lie between 0 and ``top`` start as those with e and
-    top - e in G, and choosing e keeps only G << e."""
+    """Yield (top, keys) for top 0 and each gap top up to bound, keys being
+    the antichains that contain 0 and top, in lexicographic order: the
+    normalized classes (minimum 0) whose largest minimal generator is top.
+    Every other top has none, so no top past the Frobenius number is visited.
+    Candidate sets are gap bit sets: with G the gaps, the elements e that may
+    lie between 0 and ``top`` start as those with e and top - e in G, and
+    choosing e keeps only G << e."""
+    if bound < 0:
+        return
     c = monoid.conductor
     window = (1 << c) - 1
     gaps = window ^ monoid.member_bits(c)
@@ -206,15 +209,41 @@ def _class_keys(monoid: NumericalSemigroup, bound: int):
             yield from extend(prefix + (e,), top, candidates & (gaps << e))
         yield prefix + (top,)
 
+    yield 0, [(0,)]
     below = 0  # bit e set iff top - e is a gap, kept to e < c: gaps lie below c
+    for top in range(1, min(bound, c - 1) + 1):
+        below = ((below << 1) | ((gaps >> top) & 1)) & window
+        if below & 1:
+            yield top, list(extend((0,), top, below & gaps))
+
+
+def normalized_classes(monoid: NumericalSemigroup, bound: int):
+    """Yield the ideal of each class key with top at most ``bound``, in the
+    order of ``canonical_generator_sets``: every fractional ideal is a shift
+    of exactly one of them, the one with minimum 0.  A key is an antichain
+    with minimum 0, so it is its own set of minimal generators, and its
+    members are the OR of S's member bits shifted by each generator."""
+    unit = unit_ideal(monoid).members
+    for top, keys in _class_keys(monoid, bound):
+        _require_window(monoid, 0, top)
+        for key in keys:
+            members = 0
+            for f in key:
+                members |= unit << f
+            yield FractionalIdeal(monoid, key, members)
+
+
+def _shift_walk(monoid: NumericalSemigroup, bound: int):
+    """Yield ``canonical_generator_sets(monoid, bound)`` in its order as
+    groups (shift, keys), standing for the antichains key + shift.  The
+    antichains with maximum ``top`` and minimum s are the class keys with
+    maximum top - s shifted by s, so each top lists its own keys, then the
+    keys of each earlier top k that has keys, shifted by top - k."""
+    keyed = list(_class_keys(monoid, bound))
     for top in range(bound + 1):
-        if top == 0:
-            yield [(0,)]
-        elif below & 1:
-            yield list(extend((0,), top, below & gaps))
-        else:
-            yield []
-        below = ((below << 1) | ((gaps >> (top + 1)) & 1)) & window
+        for k, keys in reversed(keyed):
+            if k <= top:
+                yield top - k, keys
 
 
 def canonical_generator_sets(monoid: NumericalSemigroup, bound: int):
@@ -222,14 +251,12 @@ def canonical_generator_sets(monoid: NumericalSemigroup, bound: int):
 
     These are exactly the antichains of the divisibility order of the monoid:
     sets where no two elements differ by a nonzero member.  Order: smallest
-    maximum first, then lexicographic, so the sweep is deterministic.  The
-    antichains with maximum ``top`` and minimum s are the class keys with
-    maximum top - s shifted by s, so each top lists its own keys, then the
-    keys of top - 1 shifted by 1, and so on down to (top,): the walk of
-    ``_judged_classes``, with nothing judged.
+    maximum first, then lexicographic, so the sweep is deterministic.  Each
+    antichain is a class key shifted, so the walk lists the keys of each top
+    with keys, shifted up to every later top; it builds no ideal.
     """
-    for shift, group in _judged_classes(monoid, bound, lambda y: None):
-        for key, _ in group:
+    for shift, keys in _shift_walk(monoid, bound):
+        for key in keys:
             yield tuple(g + shift for g in key)
 
 
@@ -237,34 +264,6 @@ def class_key(gens: tuple[int, ...]) -> tuple[int, ...]:
     """The minimal generators of the shift to minimum 0 of the ideal that the
     antichain ``gens`` generates: equal keys mean shifted ideals."""
     return tuple(g - gens[0] for g in gens)
-
-
-def _judged_classes(monoid: NumericalSemigroup, bound: int, judge):
-    """Walk ``canonical_generator_sets(monoid, bound)`` in its order as
-    groups: yield (shift, group), group a list of (key, verdict), standing for
-    the antichains key + shift.  Each key is judged, as ``judge`` of the ideal
-    it generates, where it first appears: at shift 0, in a group of its own.
-    A later group with shift s is the judged keys of top - s again, not
-    judged twice and not shifted here.  Only a shift-invariant judge may be
-    given: the verdict of a class stands for every shift in it.  Keys exist
-    only at top 0 and at the gaps, so the walk visits only the tops that
-    have keys, not every shift below each top."""
-    unit = unit_ideal(monoid).members
-    filled = []  # (top, judged keys) for each earlier top with keys
-    for top, keys in enumerate(_class_keys(monoid, bound)):
-        judged = []
-        for key in keys:
-            # an antichain with minimum 0 is its own set of minimal generators
-            _require_window(monoid, 0, top)
-            members = 0
-            for f in key:
-                members |= unit << f
-            judged.append((key, judge(FractionalIdeal(monoid, key, members))))
-            yield 0, judged[-1:]
-        for k, group in reversed(filled):
-            yield top - k, group
-        if judged:
-            filled.append((top, judged))
 
 
 def search_nonprincipal_t_invertible(monoid: NumericalSemigroup, bound: int,
@@ -277,30 +276,32 @@ def search_nonprincipal_t_invertible(monoid: NumericalSemigroup, bound: int,
     (``graded.monoid_class_group_status``), so a found ideal is a bug in the
     kernel that judges it: the sweep checks ``is_t_invertible`` against that
     theorem.
-    ``progress(examined, generators)`` is called every 250 antichains and once
-    with None at the end.  Every antichain is examined and counted, but each
-    shift class is judged once per call, at its key (its shift to minimum 0),
-    where the class first appears; its later shifts are counted, not built.
-    That is sound because t-invertibility is shift-invariant, a theorem and
-    not a shortcut: inverse(y + n) = inverse(y) - n, so (y + n) +
-    inverse(y + n) is y + inverse(y), and so is its v-closure.  Every
-    fractional ideal is a shift of exactly one ideal with minimum 0, the one
-    its key generates, so a witness can only be met at a key.
+    Each class is judged once, at its key (``normalized_classes``), and its
+    shifts are counted, not built: t-invertibility is shift-invariant, a
+    theorem and not a shortcut, since inverse(y + n) = inverse(y) - n makes
+    (y + n) + inverse(y + n) equal y + inverse(y), and so its v-closure.  A
+    key comes before its shifts in the order, so the first witness is a key.
+    ``progress(examined, generators)`` is called every 250 antichains and
+    once with None at the end.  The shift walk of ``canonical_generator_sets``
+    runs, judging nothing, only to make those calls, and stops at the
+    witness; without ``progress`` a sweep costs one judgment per class,
+    whatever the bound.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
+    witness = next((y for y in normalized_classes(monoid, bound)
+                    if not is_principal(y) and is_t_invertible(y)), None)
+    if progress is None:
+        return witness
     examined = 0
-    classes = _judged_classes(
-        monoid, bound, lambda y: not is_principal(y) and is_t_invertible(y))
-    for shift, group in classes:
-        if progress is not None:
-            for n in range((examined // 250 + 1) * 250,
-                           examined + len(group) + 1, 250):
-                key = group[n - examined - 1][0]
-                progress(n, tuple(g + shift for g in key))
-        examined += len(group)
-        if shift == 0 and group[0][1]:
-            return ideal_from_generators(monoid, group[0][0])
-    if progress is not None:
-        progress(examined, None)
-    return None
+    for shift, keys in _shift_walk(monoid, bound):
+        found = shift == 0 and witness is not None and witness.min_generators in keys
+        if found:
+            keys = keys[:keys.index(witness.min_generators) + 1]
+        for n in range((examined // 250 + 1) * 250, examined + len(keys) + 1, 250):
+            progress(n, tuple(g + shift for g in keys[n - examined - 1]))
+        examined += len(keys)
+        if found:
+            return witness
+    progress(examined, None)
+    return witness

@@ -19,12 +19,29 @@ from functools import lru_cache
 from itertools import compress
 from math import gcd
 
-from .domains import _prime_factors
 from .errors import CapabilityError, ParseError
 from .records import Record, _set
 
 # Widest member window, in bits, that a semigroup or an ideal may need.
 MAX_WINDOW_BITS = 1 << 20
+
+# Largest |n| that `_prime_factors` accepts: at most 2^20 trial divisions.
+MAX_TRIAL_DIVISION = 1 << 40
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of |n| with multiplicity, ascending, by trial
+    division; |n| above ``MAX_TRIAL_DIVISION`` raises ``CapabilityError``."""
+    if abs(n) > MAX_TRIAL_DIVISION:
+        raise CapabilityError(f"{n} is too large to factor (|n| > {MAX_TRIAL_DIVISION})")
+    n, factors, f = abs(n), [], 2
+    while f * f <= n:
+        while n % f == 0:
+            factors.append(f)
+            n //= f
+        f += 1
+    return factors + [n] if n > 1 else factors
+
 
 # Maps each digit of a binary string to 1 for a zero bit and 0 for a one bit.
 _ZERO_DIGITS = bytes.maketrans(b"01", b"\x01\x00")

@@ -436,6 +436,37 @@ def test_ex218_search_is_the_witness_of_the_sweep(monkeypatch):
     assert report["results"]["search"]["invertible"] is True
 
 
+BIG = 100_000_000
+
+
+@pytest.mark.parametrize("argv, ideals", [
+    (["sgp", "search", "--sgp", "2,3", "--bound", str(BIG)], None),
+    # keys (0,) and (0, 1) have tops 0 and 1: (B + 1) + B antichains
+    (["demo", "ex218", "--bound", str(BIG)], 2 * BIG + 1),
+    # keys (0,), (0, 1), (0, 2), (0, 1, 2): (B + 1) + B + 2 (B - 1)
+    (["demo", "ex218", "--sgp", "3,4,5", "--bound", str(BIG)], 4 * BIG - 1),
+])
+def test_sweeps_count_the_shifts_at_any_bound(argv, ideals):
+    """No class key has a top past the Frobenius number, so a sweep judges
+    each class once and counts its shifts; a walk over every top would take
+    minutes here."""
+    started = time.monotonic()
+    code, report = cli.run(argv)
+    assert time.monotonic() - started < 1
+    if ideals is None:
+        assert code == 0
+        assert report["results"]["found"] is None
+        return
+    assert report["results"]["ideals"] == ideals
+    assert report["results"]["search"] is None
+    if "3,4,5" in argv:
+        assert code == 1
+        assert report["checks"][0]["detail"] == "counterexamples: " \
+            "['gens=0,1@sgp=3,4,5', 'gens=0,2@sgp=3,4,5', 'gens=1,2@sgp=3,4,5']"
+    else:
+        assert code == 0
+
+
 @pytest.mark.parametrize("op", ["info", "inverse", "v", "t", "class"])
 def test_ideal_ops_refuse_a_second_operand_they_ignore(op):
     code, report = cli.run(["sgp", "ideal", "--sgp", "2,3", "--gens", "2,3",

@@ -224,9 +224,12 @@ def test_search_reports_progress():
     keys of top 30 and several later shifted groups each span two multiples
     of 250."""
     monoid = from_generators([9, 11])
-    assert len(list(mid._class_keys(monoid, 31))[30]) == 520
     antichains = list(reference_generator_sets(monoid, 31))
     assert len(antichains) == 60008
+    keys = [g for g in antichains if g[0] == 0 and g[-1] == 30]
+    assert len(keys) == 520
+    assert [y.min_generators for y in mid.normalized_classes(monoid, 31)
+            if y.min_generators[-1] == 30] == keys
     seen = []
     mid.search_nonprincipal_t_invertible(
         monoid, 31, progress=lambda n, g: seen.append((n, g)))
@@ -329,10 +332,8 @@ def test_sweep_judges_each_key_ideal_as_generated(gens):
     ``ideal_from_generators`` builds, minimal generators and members alike."""
     monoid = from_generators(gens)
     bound = monoid.frobenius + 3
-    handed = []
-    for _ in mid._judged_classes(monoid, bound, handed.append):
-        pass
-    keys = [key for keys in mid._class_keys(monoid, bound) for key in keys]
+    handed = list(mid.normalized_classes(monoid, bound))
+    keys = [g for g in reference_generator_sets(monoid, bound) if g[0] == 0]
     assert [y.min_generators for y in handed] == keys
     for y in handed:
         expected = mid.ideal_from_generators(monoid, y.min_generators)
@@ -382,15 +383,27 @@ def test_class_keys_count_the_normalized_ideals(gens):
     expected = NORMALIZED_COUNTS[gens]
     assert closed_gap_subsets(monoid) == expected
     for bound in (monoid.frobenius, monoid.frobenius + 3):
-        by_top = list(mid._class_keys(monoid, bound))
-        assert len(by_top) == bound + 1
-        for top, keys in enumerate(by_top):
-            assert keys == sorted(keys)
-            assert all(key[0] == 0 and key[-1] == top for key in keys)
-        keys = [key for keys in by_top for key in keys]
+        keys = [y.min_generators for y in mid.normalized_classes(monoid, bound)]
+        # smallest top first, then lexicographic; every top is 0 or a gap
+        assert keys == sorted(keys, key=lambda key: (key[-1], key))
+        assert all(key[0] == 0 for key in keys)
+        assert all(key[-1] == 0 or not monoid.contains(key[-1]) for key in keys)
         assert len(keys) == len(set(keys)) == expected
         assert set(keys) == {mid.class_key(g)
                              for g in mid.canonical_generator_sets(monoid, bound)}
+
+
+@pytest.mark.parametrize("gens", SWEEP_POOL)
+def test_sweep_count_is_the_sum_of_the_shifts_of_each_class(gens):
+    """Each class key with top t stands for the bound - t + 1 antichains
+    key + s, s = 0..bound - t: the walked count is that sum."""
+    monoid = from_generators(gens)
+    for bound in range(monoid.frobenius + 4):
+        calls = []
+        mid.search_nonprincipal_t_invertible(
+            monoid, bound, progress=lambda n, g: calls.append((n, g)))
+        assert calls[-1] == (sum(bound - y.min_generators[-1] + 1 for y in
+                                 mid.normalized_classes(monoid, bound)), None)
 
 
 def test_class_arithmetic_on_principals():
@@ -426,8 +439,7 @@ def test_t_invertible_classes_are_principal(gens):
     reference here, on every class and on shifts of it."""
     monoid = from_generators(gens)
     unit = mid.unit_ideal(monoid)
-    keys = [key for keys in mid._class_keys(monoid, monoid.frobenius)
-            for key in keys]
+    keys = [y.min_generators for y in mid.normalized_classes(monoid, monoid.frobenius)]
     invertible = 0
     for key in keys:
         y = mid.ideal_from_generators(monoid, key)
@@ -440,3 +452,13 @@ def test_t_invertible_classes_are_principal(gens):
             assert mid.is_t_invertible(shifted) == definition, (key, n)
     assert invertible == 1
     assert mid.is_divisorial(mid.ideal_from_generators(monoid, monoid.generators))
+
+
+def test_canonical_generator_sets_build_no_ideal(monkeypatch):
+    monoid = from_generators([7, 9, 11])
+
+    def refuse(*args):
+        raise AssertionError("an ideal was built")
+    monkeypatch.setattr(mid, "FractionalIdeal", refuse)
+    assert list(mid.canonical_generator_sets(monoid, 12)) == \
+        list(reference_generator_sets(monoid, 12))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sgclass import semigroups
-from sgclass.domains import _prime_factors as prime_factors
+from sgclass.semigroups import _prime_factors as prime_factors
 from sgclass.errors import CapabilityError, ParseError
 from sgclass.semigroups import MonoidDescriptor, from_generators, parse_monoid
 

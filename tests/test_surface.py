@@ -70,3 +70,40 @@ def test_the_guard_sees_a_function_without_a_caller():
               "x = used()\n")
     trees = {"m": ast.parse(source)}
     assert callerless(trees, {"exported"}) == ["m.helper", "m.K.method"]
+
+
+# Each module imports only from strictly lower layers; ``__init__`` exports all.
+LAYERS = {"records": 0, "errors": 0, "semigroups": 1, "ideals": 2, "domains": 3,
+          "graded": 4, "quadric": 4, "suites": 5, "cli": 6}
+
+
+def package_imports(tree) -> set[str]:
+    """The package modules that ``tree`` imports, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module.split(".")[0]] if node.module
+                         else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sgclass."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("sgclass."))
+    return found
+
+
+def test_modules_import_only_from_lower_layers():
+    assert {path.stem for path in SOURCES} == set(LAYERS) | {"__init__"}
+    upward = {}
+    for path in SOURCES:
+        if path.stem != "__init__":
+            imported = package_imports(ast.parse(path.read_text(encoding="utf-8")))
+            upward[path.stem] = sorted(m for m in imported
+                                       if LAYERS[m] >= LAYERS[path.stem])
+    assert upward == {module: [] for module in LAYERS}
+
+
+def test_the_layer_guard_sees_an_upward_import():
+    tree = ast.parse("from .domains import x\nfrom . import ideals\n"
+                     "def f():\n    from sgclass.cli import run\n")
+    assert package_imports(tree) == {"domains", "ideals", "cli"}
