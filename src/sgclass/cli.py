@@ -178,9 +178,9 @@ def _cmd_sgp_ideal(args, seed, checks):
         result = mid.t_closure(y)
     else:
         result = mid.class_reduce(y)
-        check(checks, "class representative is divisorial",
-              mid.is_divisorial(result), result.text())
         representative = result.to_json()
+        check(checks, "class representative is divisorial",
+              representative["divisorial"], result.text())
         return {"monoid": sgp.text(), "input": y.to_json(), "op": op,
                 "representative": representative,
                 "invertible": representative["invertible"],
@@ -188,7 +188,7 @@ def _cmd_sgp_ideal(args, seed, checks):
     results = {"monoid": sgp.text(), "input": y.to_json(), "op": op,
                "result": result.to_json(), "result_text": result.text()}
     if op in ("v", "inverse"):
-        check(checks, "result is divisorial", mid.is_divisorial(result), result.text())
+        check(checks, "result is divisorial", results["result"]["divisorial"], result.text())
     if op == "t":
         check(checks, "t-closure equals v-closure here",
               _is_v_closure(sgp, y.min_generators, result), "finitely generated input")

@@ -600,13 +600,6 @@ class ClassGroup(Record):
 
     __slots__ = ("domain", "forms", "table", "invariants")
 
-    def __init__(self, domain: CoefficientDomain, forms: tuple[QuadForm, ...],
-                 table: tuple[tuple[int, ...], ...], invariants: tuple[int, ...]):
-        _set(self, "domain", domain)
-        _set(self, "forms", forms)
-        _set(self, "table", table)
-        _set(self, "invariants", invariants)
-
     @property
     def order(self) -> int:
         return len(self.forms)

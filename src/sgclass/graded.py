@@ -21,21 +21,14 @@ from .errors import (
     MismatchError,
     ParseError,
 )
-from .ideals import FractionalIdeal
-from .records import Record, _set
+from .records import Record
 from .semigroups import MonoidDescriptor, NumericalSemigroup
 
 
 class GradedElement(Record):
     """A finite sum of monomials b*X^g; the zero element has no terms."""
 
-    __slots__ = ("domain", "monoid", "terms")
-
-    def __init__(self, domain: CoefficientDomain, monoid: NumericalSemigroup,
-                 terms: tuple[tuple[int, object], ...]):  # (exponent, nonzero coefficient)
-        _set(self, "domain", domain)
-        _set(self, "monoid", monoid)
-        _set(self, "terms", terms)
+    __slots__ = ("domain", "monoid", "terms")  # terms: (exponent, nonzero coefficient)
 
     def __bool__(self):
         return bool(self.terms)
@@ -243,13 +236,7 @@ def parse_element(domain: CoefficientDomain, monoid: NumericalSemigroup,
 class HomogeneousIdeal(Record):
     """Generated by finitely many homogeneous elements b*X^g."""
 
-    __slots__ = ("domain", "monoid", "gens")
-
-    def __init__(self, domain: CoefficientDomain, monoid: NumericalSemigroup,
-                 gens: tuple[tuple[object, int], ...]):  # (nonzero coefficient, exponent)
-        _set(self, "domain", domain)
-        _set(self, "monoid", monoid)
-        _set(self, "gens", gens)
+    __slots__ = ("domain", "monoid", "gens")  # gens: (nonzero coefficient, exponent)
 
 
 def homogeneous_ideal(domain: CoefficientDomain, monoid: NumericalSemigroup,
@@ -291,10 +278,6 @@ class IdealPair(Record):
     """The ideal of all sums b*X^g with b in ``coeff`` and g in ``exps``."""
 
     __slots__ = ("coeff", "exps")
-
-    def __init__(self, coeff: CoeffIdeal, exps: FractionalIdeal):
-        _set(self, "coeff", coeff)
-        _set(self, "exps", exps)
 
     def text(self) -> str:
         return f"{self.coeff.text()}[{self.exps.text()}]"
@@ -368,10 +351,6 @@ class HomogeneousClass(Record):
     """
 
     __slots__ = ("coeff_form", "monoid_class")
-
-    def __init__(self, coeff_form: QuadForm | None, monoid_class: FractionalIdeal):
-        _set(self, "coeff_form", coeff_form)
-        _set(self, "monoid_class", monoid_class)
 
 
 def _coefficient_class_form(ideal: CoeffIdeal) -> QuadForm | None:

@@ -10,6 +10,9 @@ shifted by the other's generators, colon: AND of shifted members) and one
 canonicalizer reads the minimal generators of a bit set B as B & ~OR(B << g)
 over the monoid's generators g.
 Definitions as in Rosales & Garcia-Sanchez, *Numerical Semigroups* (2009).
+``bench/worker.py`` reads ``semigroups._member_bits.cache_info()`` and
+``unit_ideal.cache_info()`` on every run and expects ``import sgclass`` to load
+``semigroups``, ``ideals`` and ``domains``: both caches and the imports stay.
 """
 
 from __future__ import annotations
@@ -17,18 +20,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import CapabilityError, MismatchError
-from .records import Record, _set
+from .records import Record
 from .semigroups import MAX_WINDOW_BITS, NumericalSemigroup, _bit_positions
 
 
 class FractionalIdeal(Record, hidden=("members",)):
+    # members: bit i set iff min + i is a member; negative
     __slots__ = ("monoid", "min_generators", "members")
-
-    def __init__(self, monoid: NumericalSemigroup, min_generators: tuple[int, ...],
-                 members: int):  # bit i set iff min + i is a member; negative
-        _set(self, "monoid", monoid)
-        _set(self, "min_generators", min_generators)
-        _set(self, "members", members)
 
     @property
     def min(self) -> int:

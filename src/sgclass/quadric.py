@@ -16,16 +16,13 @@ from fractions import Fraction
 from math import comb
 
 from .domains import exact
-from .records import Record, _set
+from .records import Record
 
 
 class QuadricElement(Record):
     """Normal-form element: sorted terms ((a, b, c), coeff) with b*c = 0."""
 
     __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[tuple[tuple[int, int, int], int | Fraction], ...]):
-        _set(self, "terms", terms)
 
     def __bool__(self):
         return bool(self.terms)

@@ -65,13 +65,6 @@ class NumericalSemigroup(Record, compared=("generators", "scale"),
 
     __slots__ = ("generators", "scale", "conductor", "_gap_bytes")
 
-    def __init__(self, generators: tuple[int, ...], scale: int, conductor: int,
-                 _gap_bytes: bytes):
-        _set(self, "generators", generators)
-        _set(self, "scale", scale)
-        _set(self, "conductor", conductor)
-        _set(self, "_gap_bytes", _gap_bytes)
-
     @property
     def gaps(self) -> tuple[int, ...]:
         return tuple(compress(range(self.conductor), self._gap_bytes))

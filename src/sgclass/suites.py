@@ -403,7 +403,8 @@ def suite_decomposition(seed: int = 0, trials: int = 100) -> dict:
             dom.ideal_to_form(j) == dom.identity_form(domain.discriminant)
         ok = trivial_lift == principal
         ok = ok and mid.class_is_trivial(lifted.monoid_class)
-        pair = grd.IdealPair(j, mid.unit_ideal(sgp))
+        # principal but off 0 (no rng draw), so its class must be shifted to S
+        pair = grd.IdealPair(j, mid.ideal_from_generators(sgp, [t % 5 - 2]))
         ok = ok and grd.decompose_class(pair) == lifted
         if not ok:
             bad += 1

@@ -606,3 +606,13 @@ def test_condition_three_is_answered_without_a_sweep(monkeypatch):
 
 def test_northcott_search_is_computed_once():
     assert suites.northcott_search() is suites.northcott_search()
+
+
+@pytest.mark.parametrize("op", ["v", "inverse", "class"])
+def test_ideal_op_judges_each_ideal_divisorial_once(op, monkeypatch):
+    """The divisoriality check reads the result's report, so the input and the
+    result are each judged once."""
+    judged = _counting(monkeypatch, mid, "is_divisorial")
+    code, report = cli.run(["sgp", "ideal", "--sgp", "3,5", "--gens", "0,2", "--op", op])
+    assert code == 0 and statuses(report) == ["pass"]
+    assert len(judged) == 2

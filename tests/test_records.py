@@ -92,6 +92,35 @@ def test_record_equality_and_hash(name):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
+# the records whose __init__ validates, converts or defaults its input
+HAND_WRITTEN = ("CoeffIdeal", "CoefficientDomain", "MonoidDescriptor", "QuadElement",
+                "QuadForm")
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_constructor(name):
+    record = RECORDS[name]
+    cls, slots, values = type(record), record.__slots__, fields(record)
+    init = cls.__dict__["__init__"]
+    written = init.__code__.co_filename == sys.modules[cls.__module__].__file__
+    assert written == (name in HAND_WRITTEN)
+    if written:
+        return
+    # the compiled __init__ takes exactly the slots, in order
+    code = init.__code__
+    assert code.co_varnames[:code.co_argcount] == ("self", *slots)
+    assert init.__defaults__ is None and code.co_kwonlyargcount == 0
+    assert init.__qualname__ == f"{name}.__init__"
+    assert cls(*values) == record
+    assert cls(**dict(zip(slots, values))) == record
+    # a TypeError names the record, as FractionalIdeal(s, (0,)) does
+    with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) missing 1 required "
+                                        rf"positional argument: '{slots[-1]}'"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=rf"^{name}\.__init__\(\) takes"):
+        cls(*values, None)
+
+
 def test_post_init_refusals_keep_their_messages():
     cases = [
         (lambda: dom.CoefficientDomain("Z", -5), "rational kinds take no radicand"),

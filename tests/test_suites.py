@@ -309,6 +309,14 @@ def test_decomposition_judges_principality_without_is_principal(monkeypatch):
     assert suites.suite_decomposition(0, 100)["failures"] > 0
 
 
+def test_decomposition_checks_its_monoid_part_off_the_unit_ideal(monkeypatch):
+    """A ``class_reduce`` that forgets to shift to minimum 0 fails every trial
+    whose exponent ideal is principal off 0: 16 of 20, plus the summary check."""
+    monkeypatch.setattr(mid, "class_reduce", mid.v_closure)
+    for seed in range(5):
+        assert suites.suite_decomposition(seed, 20)["failures"] == 17
+
+
 def test_northcott_search_matches_the_definitional_scan():
     """The search tests exponent 0 as C(xy) = C(x)C(y); the reference computes
     ``dedekind_mertens_exponent`` on every pair, in the same order, up to the
