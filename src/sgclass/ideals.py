@@ -8,7 +8,9 @@ ints: structural equality is set equality with no bound to canonicalize.
 Operations are arithmetic on member bit sets (sum: OR of one summand's members
 shifted by the other's generators, colon: AND of shifted members) and one
 canonicalizer reads the minimal generators of a bit set B as B & ~OR(B << g)
-over the monoid's generators g.
+over the monoid's generators g.  Divisoriality and t-invertibility are judged
+on raw bits with no intermediate ideal: the bits z of (S : Y), the AND of S's
+members shifted by Y's generators, and z's generator positions fix both.
 Definitions as in Rosales & Garcia-Sanchez, *Numerical Semigroups* (2009).
 ``bench/worker.py`` reads ``semigroups._member_bits.cache_info()`` and
 ``unit_ideal.cache_info()`` on every run and expects ``import sgclass`` to load
@@ -17,7 +19,9 @@ Definitions as in Rosales & Garcia-Sanchez, *Numerical Semigroups* (2009).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import CapabilityError, MismatchError
 from .records import Record
@@ -80,13 +84,18 @@ def _require_window(monoid: NumericalSemigroup, lo: int, top: int) -> None:
                               f"of more than {MAX_WINDOW_BITS} bits")
 
 
-def _canonical(monoid: NumericalSemigroup, lo: int, bits: int) -> FractionalIdeal:
-    """The ideal {lo + i : bit i of bits}; bits is negative, the set's
-    infinite tail included."""
+def _generator_positions(monoid: NumericalSemigroup, bits: int) -> list[int]:
+    """The positions of the minimal generators of the ideal whose members are
+    the set bits of bits (negative, the set's infinite tail included)."""
     covered = 0
     for g in monoid.generators:
         covered |= bits << g
-    gens = [lo + i for i in _bit_positions(bits & ~covered)]
+    return _bit_positions(bits & ~covered)
+
+
+def _canonical(monoid: NumericalSemigroup, lo: int, bits: int) -> FractionalIdeal:
+    """The ideal {lo + i : bit i of bits}."""
+    gens = [lo + i for i in _generator_positions(monoid, bits)]
     return FractionalIdeal(monoid, tuple(gens), bits >> (gens[0] - lo))
 
 
@@ -113,18 +122,19 @@ def minkowski_sum(y: FractionalIdeal, z: FractionalIdeal) -> FractionalIdeal:
     return _canonical(monoid, y.min + z.min, acc)
 
 
-def _colon_bits(y: FractionalIdeal, z: FractionalIdeal) -> int:
-    """The members of (y : z) as bits from y.min - z.min, not canonicalized."""
+def _colon_bits(members: int, gens) -> int:
+    """The members of (Y : Z) as bits from min(Y) - gens[0], not canonicalized,
+    for Y's member bits and Z's ascending generators."""
     acc = -1
-    for e in z.min_generators:
-        acc &= y.members >> (e - z.min)
+    for e in gens:
+        acc &= members >> (e - gens[0])
     return acc
 
 
 def colon(y: FractionalIdeal, z: FractionalIdeal) -> FractionalIdeal:
     """(y : z) = every g with g + z inside y, the meet of y - e over z's generators e."""
     monoid = _require_same_monoid(y, z)
-    return _canonical(monoid, y.min - z.min, _colon_bits(y, z))
+    return _canonical(monoid, y.min - z.min, _colon_bits(y.members, z.min_generators))
 
 
 def inverse(y: FractionalIdeal) -> FractionalIdeal:
@@ -142,12 +152,32 @@ def t_closure(y: FractionalIdeal) -> FractionalIdeal:
     return v_closure(y)
 
 
+def _inverse_bits(unit: FractionalIdeal, gens) -> tuple[int, list[int]]:
+    """The members z of (S : Y) as bits from -gens[0], for the Y that the
+    ascending gens generate, and the positions in z of its minimal
+    generators, ascending.  S is ``unit``; no ideal is built."""
+    z = _colon_bits(unit.members, gens)
+    return z, _generator_positions(unit.monoid, z)
+
+
 def is_divisorial(y: FractionalIdeal) -> bool:
-    return v_closure(y) == y
+    """y_v = y, judged on bits: with z the bits of y^-1 and p its generator
+    positions, y_v = (S : y^-1) has the bits AND(S >> (p - p[0])) from
+    y.min - p[0], and y's bits from there are y.members << p[0]."""
+    unit = unit_ideal(y.monoid)
+    _, positions = _inverse_bits(unit, y.min_generators)
+    return _colon_bits(unit.members, positions) == y.members << positions[0]
 
 
 def is_principal(y: FractionalIdeal) -> bool:
     return len(y.min_generators) == 1
+
+
+def _t_invertible(unit: FractionalIdeal, gens) -> bool:
+    """``is_t_invertible`` for the ideal that the ascending gens generate:
+    AND(z >> i) over the generator positions i of its inverse z, against S."""
+    z, positions = _inverse_bits(unit, gens)
+    return _colon_bits(z, positions) >> positions[0] == unit.members
 
 
 def is_t_invertible(y: FractionalIdeal) -> bool:
@@ -158,7 +188,8 @@ def is_t_invertible(y: FractionalIdeal) -> bool:
     (S : y + z) = S.  And (S : y + z) = ((S : y) : z) = (z : z), because
     g + y + z lies in S exactly when g + z lies in (S : y) = z.  (z : z)
     contains 0 and nothing below it, so its colon bits from 0 are its
-    members and compare directly with those of S.
+    members and compare directly with those of S.  The judge works on the
+    bits of z and of S alone and builds no ideal (``_t_invertible``).
 
     >>> from sgclass.semigroups import from_generators
     >>> s = from_generators([2, 3])
@@ -167,9 +198,7 @@ def is_t_invertible(y: FractionalIdeal) -> bool:
     >>> is_t_invertible(ideal_from_generators(s, [0]))
     True
     """
-    unit = unit_ideal(y.monoid)
-    z = colon(unit, y)
-    return _colon_bits(z, z) == unit.members
+    return _t_invertible(unit_ideal(y.monoid), y.min_generators)
 
 
 def class_reduce(y: FractionalIdeal) -> FractionalIdeal:
@@ -231,17 +260,17 @@ def normalized_classes(monoid: NumericalSemigroup, bound: int):
             yield FractionalIdeal(monoid, key, members)
 
 
-def _shift_walk(monoid: NumericalSemigroup, bound: int):
-    """Yield ``canonical_generator_sets(monoid, bound)`` in its order as
-    groups (shift, keys), standing for the antichains key + shift.  The
-    antichains with maximum ``top`` and minimum s are the class keys with
-    maximum top - s shifted by s, so each top lists its own keys, then the
-    keys of each earlier top k that has keys, shifted by top - k."""
-    keyed = list(_class_keys(monoid, bound))
-    for top in range(bound + 1):
-        for k, keys in reversed(keyed):
-            if k <= top:
-                yield top - k, keys
+def _shift_blocks(keyed, bound: int):
+    """Yield the order of ``canonical_generator_sets`` up to ``bound`` as
+    blocks (first, end, groups), from the (top, keys) lists of
+    ``_class_keys``.  The antichains with maximum t and minimum s are the
+    class keys with maximum t - s shifted by s, so each top t lists its own
+    keys, then the keys of each earlier top k that has keys, shifted by
+    t - k.  Every top in [first, end), from one key top to the next, so lists
+    the same groups (k, keys) in the same order, latest k first."""
+    for i, (first, _) in enumerate(keyed):
+        end = keyed[i + 1][0] if i + 1 < len(keyed) else bound + 1
+        yield first, end, keyed[i::-1]
 
 
 def canonical_generator_sets(monoid: NumericalSemigroup, bound: int):
@@ -253,9 +282,11 @@ def canonical_generator_sets(monoid: NumericalSemigroup, bound: int):
     antichain is a class key shifted, so the walk lists the keys of each top
     with keys, shifted up to every later top; it builds no ideal.
     """
-    for shift, keys in _shift_walk(monoid, bound):
-        for key in keys:
-            yield tuple(g + shift for g in key)
+    for first, end, groups in _shift_blocks(list(_class_keys(monoid, bound)), bound):
+        for top in range(first, end):
+            for k, keys in groups:
+                for key in keys:
+                    yield tuple(g + top - k for g in key)
 
 
 def class_key(gens: tuple[int, ...]) -> tuple[int, ...]:
@@ -272,34 +303,55 @@ def search_nonprincipal_t_invertible(monoid: NumericalSemigroup, bound: int,
     enumeration order, or None when the sweep is exhaustive and empty-handed.
     Every t-invertible ideal of a numerical semigroup is principal
     (``graded.monoid_class_group_status``), so a found ideal is a bug in the
-    kernel that judges it: the sweep checks ``is_t_invertible`` against that
-    theorem.
-    Each class is judged once, at its key (``normalized_classes``), and its
-    shifts are counted, not built: t-invertibility is shift-invariant, a
-    theorem and not a shortcut, since inverse(y + n) = inverse(y) - n makes
-    (y + n) + inverse(y + n) equal y + inverse(y), and so its v-closure.  A
-    key comes before its shifts in the order, so the first witness is a key.
+    kernel that judges it: the sweep checks the judge of ``is_t_invertible``
+    against that theorem.
+    Each class is judged once, at its key (``_class_keys``), on the bits of
+    its inverse (``_t_invertible``), and its shifts are counted, not built:
+    t-invertibility is shift-invariant, a theorem and not a shortcut, since
+    inverse(y + n) = inverse(y) - n makes (y + n) + inverse(y + n) equal
+    y + inverse(y), and so its v-closure.  A key comes before its shifts in
+    the order, so the first witness is a key, and it is the only ideal the
+    sweep builds.
     ``progress(examined, generators)`` is called every 250 antichains and
-    once with None at the end.  The shift walk of ``canonical_generator_sets``
-    runs, judging nothing, only to make those calls, and stops at the
-    witness; without ``progress`` a sweep costs one judgment per class,
-    whatever the bound.
+    once with None at the end; the calls are found by index in the blocks of
+    ``_shift_blocks`` and stop at the witness.  A sweep costs one judgment
+    per class, whatever the bound, and one step per progress call.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    witness = next((y for y in normalized_classes(monoid, bound)
-                    if not is_principal(y) and is_t_invertible(y)), None)
-    if progress is None:
-        return witness
+    unit = unit_ideal(monoid)
+    keyed, witness = [], None
+    for top, keys in _class_keys(monoid, bound):
+        _require_window(monoid, 0, top)
+        witness = next((key for key in keys
+                        if len(key) > 1 and _t_invertible(unit, key)), None)
+        keyed.append((top, keys if witness is None else keys[:keys.index(witness) + 1]))
+        if witness is not None:
+            break
+    if progress is not None:
+        _replay_progress(keyed, bound, witness is not None, progress)
+    return None if witness is None else ideal_from_generators(monoid, witness)
+
+
+def _replay_progress(keyed, bound: int, found: bool, progress) -> None:
+    """Call ``progress(n, antichain)`` for every 250th antichain n of the
+    sweep's order, then ``progress(count, None)`` unless a witness ends the
+    sweep: its walk then stops at the witness, the last of the first group of
+    the last top in ``keyed``.  Inside a block every top lists the same
+    groups, so the n-th antichain is found by division, not walked."""
+    blocks = list(_shift_blocks(keyed, bound))
+    if found:
+        first, _, groups = blocks[-1]
+        blocks[-1] = first, first + 1, groups[:1]
     examined = 0
-    for shift, keys in _shift_walk(monoid, bound):
-        found = shift == 0 and witness is not None and witness.min_generators in keys
-        if found:
-            keys = keys[:keys.index(witness.min_generators) + 1]
-        for n in range((examined // 250 + 1) * 250, examined + len(keys) + 1, 250):
-            progress(n, tuple(g + shift for g in keys[n - examined - 1]))
-        examined += len(keys)
-        if found:
-            return witness
-    progress(examined, None)
-    return witness
+    for first, end, groups in blocks:
+        starts = list(accumulate((len(keys) for _, keys in groups), initial=0))
+        size = starts.pop()
+        for n in range(examined // 250 * 250 + 250, examined + (end - first) * size + 1, 250):
+            step, i = divmod(n - examined - 1, size)
+            g = bisect_right(starts, i) - 1
+            k, keys = groups[g]
+            progress(n, tuple(e + first + step - k for e in keys[i - starts[g]]))
+        examined += (end - first) * size
+    if not found:
+        progress(examined, None)

@@ -418,14 +418,17 @@ def test_ex218_search_is_the_witness_of_the_sweep(monkeypatch):
                     if not mid.is_principal(y)]
     chosen = nonprincipal[len(nonprincipal) // 2]
     assert chosen.min > 0  # so the first of its class is another antichain
-    real = mid.is_t_invertible
+    real = mid._t_invertible
 
     def normalized(y):
         return y.shift(-y.min)
 
-    # a fake judge, shift-invariant like the real one
-    monkeypatch.setattr(mid, "is_t_invertible",
-                        lambda y: normalized(y) == normalized(chosen) or real(y))
+    # a fake judge, shift-invariant like the real one, in the private judge
+    # that the sweep and ``is_t_invertible`` both consult
+    def fake(unit, gens):
+        y = mid.ideal_from_generators(unit.monoid, gens)
+        return normalized(y) == normalized(chosen) or real(unit, gens)
+    monkeypatch.setattr(mid, "_t_invertible", fake)
     first = next(y for y in nonprincipal if normalized(y) == normalized(chosen))
     witness = mid.search_nonprincipal_t_invertible(sgp, 10)
     assert witness == first

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgclass import ideals as mid
-from sgclass.suites import _window, oracle_member, t_oracle
+from sgclass.suites import _window, oracle_member, t_oracle, v_oracle
 from sgclass.errors import CapabilityError, MismatchError
 from sgclass.semigroups import from_generators
 
@@ -302,20 +302,28 @@ def test_generator_sets_match_the_reference_enumerator(gens):
             list(reference_generator_sets(monoid, bound))
 
 
+def fake_witness(monkeypatch, target):
+    """Make the private judge, which the sweep and ``is_t_invertible`` both
+    consult, also accept the class of ``target``, shift-invariantly like the
+    real one."""
+    real = mid._t_invertible
+    target = target.shift(-target.min)
+
+    def judge(unit, gens):
+        y = mid.ideal_from_generators(unit.monoid, gens)
+        return y.shift(-y.min) == target or real(unit, gens)
+    monkeypatch.setattr(mid, "_t_invertible", judge)
+
+
 @pytest.mark.parametrize("gens", SWEEP_POOL)
 @pytest.mark.parametrize("fake", [False, True])
 def test_sweep_matches_the_per_antichain_reference(gens, fake, monkeypatch):
     monoid = from_generators(gens)
     bound = min(monoid.frobenius + 2, 12)
     if fake:
-        # a shift-invariant judge that also accepts one non-principal class
-        real = mid.is_t_invertible
         chosen = [g for g in reference_generator_sets(monoid, bound)
                   if len(g) > 1][-1]
-        target = mid.ideal_from_generators(monoid, chosen)
-        target = target.shift(-target.min)
-        monkeypatch.setattr(mid, "is_t_invertible",
-                            lambda y: y.shift(-y.min) == target or real(y))
+        fake_witness(monkeypatch, mid.ideal_from_generators(monoid, chosen))
     expected_calls, calls = [], []
     expected = reference_search(monoid, bound,
                                 lambda n, g: expected_calls.append((n, g)))
@@ -324,6 +332,23 @@ def test_sweep_matches_the_per_antichain_reference(gens, fake, monkeypatch):
     assert found == expected
     assert (found is not None) == fake
     assert calls == expected_calls
+
+
+def test_progress_stops_at_the_witness(monkeypatch):
+    """At 5,7 a witness of class (0, 3, 9, 11) ends the walk at antichain
+    211, inside top 11, which holds antichains past 250: no call for 250
+    and no final call."""
+    monoid = from_generators([5, 7])
+    fake_witness(monkeypatch, mid.ideal_from_generators(monoid, [0, 3, 9, 11]))
+    expected_calls, calls = [], []
+    expected = reference_search(monoid, 12, lambda n, g: expected_calls.append((n, g)))
+    found = mid.search_nonprincipal_t_invertible(
+        monoid, 12, progress=lambda n, g: calls.append((n, g)))
+    assert found == expected
+    assert found.min_generators == (0, 3, 9, 11)
+    walked = list(reference_generator_sets(monoid, 11))
+    assert walked.index((0, 3, 9, 11)) == 210 and len(walked) > 250
+    assert calls == expected_calls == []
 
 
 @pytest.mark.parametrize("gens", SWEEP_POOL)
@@ -363,18 +388,23 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_sweep_judges_with_one_colon_and_no_sum(monkeypatch):
-    """Each judgment is one inverse and the colon bits of (z : z); the keys
-    are built without ``ideal_from_generators``."""
+def test_sweep_without_a_witness_builds_no_ideal(monkeypatch):
+    """Each key is judged once, on bits: no ``colon``, no ``minkowski_sum``,
+    no ``ideal_from_generators`` and no ``FractionalIdeal`` at all."""
     monoid = from_generators([7, 9, 11])
     mid.unit_ideal(monoid)
     counts = {name: _counting(monkeypatch, name) for name in
-              ("minkowski_sum", "ideal_from_generators", "colon", "is_t_invertible")}
+              ("minkowski_sum", "ideal_from_generators", "colon", "_t_invertible")}
+
+    def refuse(*args):
+        raise AssertionError("an ideal was built")
+    monkeypatch.setattr(mid, "FractionalIdeal", refuse)
     assert mid.search_nonprincipal_t_invertible(monoid, 9) is None
-    assert counts["minkowski_sum"] == []
+    assert counts["minkowski_sum"] == counts["colon"] == []
     assert counts["ideal_from_generators"] == []
-    assert len(counts["is_t_invertible"]) > 0
-    assert len(counts["colon"]) == len(counts["is_t_invertible"])
+    keys = [g for g in reference_generator_sets(monoid, 9) if g[0] == 0]
+    assert [gens for _, gens in counts["_t_invertible"]] == \
+        [key for key in keys if len(key) > 1]
 
 
 @pytest.mark.parametrize("gens", SWEEP_POOL)
@@ -434,24 +464,45 @@ THEOREM_POOL = ((2, 3), (3, 5), (3, 4, 5), (4, 6, 9), (5, 7), (4, 5, 6),
 def test_t_invertible_classes_are_principal(gens):
     """Every t-invertible ideal of a numerical semigroup is principal
     (graded.monoid_class_group_status), checked with ``is_t_invertible`` on
-    every normalized class; the maximal ideal is divisorial.  Its judge
-    (Y^-1 : Y^-1) = S agrees with the definition (y + y^-1)_v = S, the
-    reference here, on every class and on shifts of it."""
+    every normalized class; the maximal ideal is divisorial."""
     monoid = from_generators(gens)
-    unit = mid.unit_ideal(monoid)
     keys = [y.min_generators for y in mid.normalized_classes(monoid, monoid.frobenius)]
     invertible = 0
     for key in keys:
         y = mid.ideal_from_generators(monoid, key)
         assert mid.is_t_invertible(y) == mid.is_principal(y), key
         invertible += mid.is_t_invertible(y)
-        for n in (0, -5, 3):
-            shifted = y.shift(n)
-            definition = mid.v_closure(
-                mid.minkowski_sum(shifted, mid.inverse(shifted))) == unit
-            assert mid.is_t_invertible(shifted) == definition, (key, n)
     assert invertible == 1
     assert mid.is_divisorial(mid.ideal_from_generators(monoid, monoid.generators))
+
+
+@pytest.mark.parametrize("gens", THEOREM_POOL)
+def test_bit_judges_match_the_set_oracle_and_the_definitions(gens):
+    """The two verdicts read off raw colon bits agree, on every normalized
+    class and on shifts of it, with the definitions built from ideals:
+    y_v = y for ``is_divisorial``, checked also against the set-based
+    ``v_oracle`` over the window, and (y + y^-1)_v = S for
+    ``is_t_invertible``.  S is symmetric exactly when every class is
+    divisorial (Barucci, Dobbs & Fontana, Mem. AMS 598, 1997), so both
+    verdicts of ``is_divisorial`` occur over the pool."""
+    monoid = from_generators(gens)
+    unit = mid.unit_ideal(monoid)
+    classes = list(mid.normalized_classes(monoid, monoid.frobenius))
+    divisorial = 0
+    for y in classes:
+        for n in (0, -5, 3):
+            shifted = mid.ideal_from_generators(
+                monoid, [g + n for g in y.min_generators])
+            in_v = v_oracle(monoid, shifted.min_generators)
+            by_sets = all(in_v(g) == shifted.contains(g) for g in _window(shifted))
+            assert mid.is_divisorial(shifted) == by_sets == \
+                (mid.v_closure(shifted) == shifted), (y.min_generators, n)
+            definition = mid.v_closure(
+                mid.minkowski_sum(shifted, mid.inverse(shifted))) == unit
+            assert mid.is_t_invertible(shifted) == definition, (y.min_generators, n)
+            divisorial += by_sets
+    symmetric = 2 * len(monoid.gaps) == monoid.conductor
+    assert (divisorial == 3 * len(classes)) == symmetric
 
 
 def test_canonical_generator_sets_build_no_ideal(monkeypatch):
