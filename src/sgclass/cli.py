@@ -257,19 +257,23 @@ def _demo_ex218(args, seed, checks):
     # the minimal generators of a monoid are an antichain, ascending
     gap_class = mid.class_key(sgp.generators)
     total = principal = shifted = 0
-    nondivisorial_keys = set()
-    # Divisoriality is shift-invariant, so each class is judged once, at its
+    nondivisorial_keys, witness = set(), None
+    # Both verdicts are shift-invariant, so each class is judged once, at its
     # key, and stands for its bound - top + 1 shifts in the enumeration.
-    for y in mid.normalized_classes(sgp, bound):
+    for y, divisorial, invertible in mid.judged_classes(sgp, bound):
         key = y.min_generators
         shifts = bound - key[-1] + 1
         total += shifts
-        if not mid.is_divisorial(y):
+        if not divisorial:
             nondivisorial_keys.add(key)
         if len(key) == 1:
             principal += shifts
         elif key == gap_class:
             shifted += shifts
+        # the search's witness (a key precedes its shifts) would be a kernel bug:
+        # every t-invertible ideal of S is principal (graded.monoid_class_group_status)
+        if witness is None and invertible and len(key) > 1:
+            witness = y
     nondivisorial = []
     if nondivisorial_keys:  # the first three in the enumeration
         for gens in mid.canonical_generator_sets(sgp, bound):
@@ -277,9 +281,6 @@ def _demo_ex218(args, seed, checks):
                 nondivisorial.append(mid.ideal_from_generators(sgp, gens).text())
                 if len(nondivisorial) == 3:
                     break
-    # a witness would be a kernel bug: every t-invertible ideal of a
-    # numerical semigroup is principal (graded.monoid_class_group_status)
-    witness = mid.search_nonprincipal_t_invertible(sgp, bound)
     check(checks, "every enumerated ideal is divisorial", not nondivisorial,
           f"{total} ideals" if not nondivisorial
           else f"counterexamples: {nondivisorial}")

@@ -478,28 +478,8 @@ class QuadForm(Record):
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if b < 0 and (abs(b) == a or a == c):
-            return False
-        return True
-
     def reduced(self) -> "QuadForm":
-        d = self.discriminant
-        a, b, c = self.a, self.b, self.c
-        while True:
-            if not (-a < b <= a):
-                q = -((a - b) // (2 * a))
-                b -= 2 * a * q
-                c = (b * b - d) // (4 * a)
-            if a > c:
-                a, b, c = c, -b, a
-                continue
-            if a == c and b < 0:
-                b = -b
-            return QuadForm(a, b, c)
+        return QuadForm(*_reduce(self.a, self.b, self.c, self.discriminant))
 
     def text(self) -> str:
         return f"({self.a},{self.b},{self.c})"
@@ -510,26 +490,49 @@ def identity_form(disc: int) -> QuadForm:
     return QuadForm(1, k, (k * k - disc) // 4)
 
 
-# Largest |D| whose reduced forms are listed: the scan visits about |D|/6 pairs.
+def _reduce(a: int, b: int, c: int, disc: int) -> tuple[int, int, int]:
+    """The reduced form equivalent to (a, b, c) of discriminant disc."""
+    while True:
+        if not (-a < b <= a):
+            q = -((a - b) // (2 * a))
+            b -= 2 * a * q
+            c = (b * b - disc) // (4 * a)
+        if a > c:
+            a, b, c = c, -b, a
+            continue
+        if a == c and b < 0:
+            b = -b
+        return a, b, c
+
+
+# Largest |D| whose reduced forms are listed: the walk visits about |D|/12 a's.
 MAX_DISCRIMINANT = 1 << 24
 
 
-def reduced_forms(disc: int) -> list[QuadForm]:
-    """All reduced positive definite forms of the given negative discriminant;
-    |disc| above ``MAX_DISCRIMINANT`` raises ``CapabilityError``."""
+def _reduced_triples(disc: int) -> list[tuple[int, int, int]]:
+    """The reduced (a, b, c) of discriminant disc, ascending (Cohen, GTM 138,
+    Alg. 5.3.5): q = (b^2 - disc)/4 for b >= 0 of disc's parity, 3b^2 <= |disc|;
+    a | q, max(b, 1) <= a <= q/a; and -b as well when 0 < b < a < q/a."""
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError("discriminant must be negative and 0 or 1 mod 4")
     if -disc > MAX_DISCRIMINANT:
         raise CapabilityError(f"discriminant {disc} is too large to list its "
                               f"reduced forms (|D| > {MAX_DISCRIMINANT})")
-    forms = []
-    for a in range(1, isqrt(-disc // 3) + 1):
-        for b in range(-a + (a + disc) % 2, a + 1, 2):   # b = disc mod 2
-            if (b * b - disc) % (4 * a) == 0:
-                form = QuadForm(a, b, (b * b - disc) // (4 * a))
-                if form.is_reduced():
-                    forms.append(form)
-    return forms   # in (a, b, c) order: a and b ascend, c follows from them
+    triples = []
+    for b in range(disc % 2, isqrt(-disc // 3) + 1, 2):
+        q = (b * b - disc) // 4
+        for a in [d for d in range(max(b, 1), isqrt(q) + 1) if not q % d]:
+            triples.append((a, b, q // a))
+            if 0 < b < a < q // a:
+                triples.append((a, -b, q // a))
+    triples.sort()
+    return triples
+
+
+def reduced_forms(disc: int) -> list[QuadForm]:
+    """All reduced positive definite forms of the given negative discriminant,
+    (a, b) ascending; |disc| above ``MAX_DISCRIMINANT`` raises ``CapabilityError``."""
+    return [QuadForm(a, b, c) for a, b, c in _reduced_triples(disc)]
 
 
 @lru_cache(maxsize=256)
@@ -569,9 +572,25 @@ def ideal_to_form(i: CoeffIdeal) -> QuadForm:
     return QuadForm(fa, fb, fc).reduced()
 
 
+def _compose(f: tuple, g: tuple, disc: int) -> tuple[int, int, int]:
+    """The reduced Gauss composite of two (a, b, c) triples of discriminant
+    disc, on integers (Cohen, GTM 138, Alg. 5.4.7)."""
+    (a1, b1, _), (a2, b2, c2) = (f, g) if f[0] <= g[0] else (g, f)
+    s = (b1 + b2) // 2
+    n = b2 - s
+    d, y1, _ = _egcd(a2, a1)
+    d1, x2, y2 = _egcd(s, d)
+    y2 = -y2
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    b = b2 + 2 * v2 * r
+    c = (c2 * d1 + r * (b2 + v2 * r)) // v1
+    return _reduce(v1 * v2, b, c, disc)
+
+
 def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     """The reduced Gauss composite of two forms of one fundamental
-    discriminant, on integers (Cohen, GTM 138, Alg. 5.4.7).
+    discriminant, through the kernel ``_compose``.
 
     Raises MismatchError for forms of different discriminants and
     CapabilityError when the discriminant is not fundamental.
@@ -579,18 +598,7 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     if f.discriminant != g.discriminant:
         raise MismatchError("forms have different discriminants")
     domain_for_discriminant(f.discriminant)
-    if f.a > g.a:
-        f, g = g, f
-    s = (f.b + g.b) // 2
-    n = g.b - s
-    d, y1, _ = _egcd(g.a, f.a)
-    d1, x2, y2 = _egcd(s, d)
-    y2 = -y2
-    v1, v2 = f.a // d1, g.a // d1
-    r = (y1 * y2 * n - x2 * g.c) % v1
-    b = g.b + 2 * v2 * r
-    c = (g.c * d1 + r * (g.b + v2 * r)) // v1
-    return QuadForm(v1 * v2, b, c).reduced()
+    return QuadForm(*_compose((f.a, f.b, f.c), (g.a, g.b, g.c), f.discriminant))
 
 
 class ClassGroup(Record):
@@ -661,30 +669,32 @@ def _extension(domain: CoefficientDomain):
     generator; the Smith normal form of the relations gives the invariant
     factors.
 
-    Returns the reduced forms, the position of each form in the extension
-    order, one (n, k, position of g^k) per generator g, and the invariants.
+    The walk composes (a, b, c) triples; records are built for the h forms
+    returned, with the position of each form in the extension order, one
+    (n, k, position of g^k) per generator g, and the invariants.
     """
     if domain.kind != "quadratic":
         raise CapabilityError("class groups are computed for quadratic orders only")
     if not domain.maximal:
         raise CapabilityError("class groups are computed for maximal orders only")
-    forms = tuple(reduced_forms(domain.discriminant))
+    disc = domain.discriminant
+    triples = _reduced_triples(disc)
     # elems[i + n*j] = g^j·elems[i] (i < n) for the generator g that was
-    # added to the first n elements
-    elems = [identity_form(domain.discriminant)]
+    # added to the first n elements; the first is the identity (1, D mod 2, .)
+    elems = triples[:1]
     position = {elems[0]: 0}
     extensions = []
-    for g in forms:
+    for g in triples:
         if g in position:
             continue
         n = len(elems)
         power = g
         while power not in position:
             base = len(elems) - n
-            for x in [power] + [compose(y, g) for y in elems[base + 1:base + n]]:
+            for x in [power] + [_compose(y, g, disc) for y in elems[base + 1:base + n]]:
                 position[x] = len(elems)
                 elems.append(x)
-            power = compose(power, g)
+            power = _compose(power, g, disc)
         extensions.append((n, len(elems) // n, position[power]))
     # relation t: k_t e_t - (coordinates of g_t^k_t, in mixed radix k_1, ...)
     relations = []
@@ -692,7 +702,8 @@ def _extension(domain: CoefficientDomain):
         row = [-(p // n_s % k_s) for n_s, k_s, _ in extensions[:t]]
         relations.append(row + [k] + [0] * (len(extensions) - t - 1))
     invariants = tuple(d for d in _smith(relations) if d > 1)
-    return forms, position, extensions, invariants
+    position = {QuadForm(*t): position[t] for t in triples}   # in triples order
+    return tuple(position), position, extensions, invariants
 
 
 def class_group(domain: CoefficientDomain) -> ClassGroup:

@@ -160,23 +160,26 @@ def _inverse_bits(unit: FractionalIdeal, gens) -> tuple[int, list[int]]:
     return z, _generator_positions(unit.monoid, z)
 
 
+def _divisorial(unit: FractionalIdeal, members: int, positions: list[int]) -> bool:
+    """y_v = y for the ideal y with ``members``, from the generator positions
+    p of its inverse: y_v = (S : y^-1) has the bits AND(S >> (p - p[0])) from
+    y.min - p[0], and y's bits from there are members << p[0]."""
+    return _colon_bits(unit.members, positions) == members << positions[0]
+
+
 def is_divisorial(y: FractionalIdeal) -> bool:
-    """y_v = y, judged on bits: with z the bits of y^-1 and p its generator
-    positions, y_v = (S : y^-1) has the bits AND(S >> (p - p[0])) from
-    y.min - p[0], and y's bits from there are y.members << p[0]."""
     unit = unit_ideal(y.monoid)
-    _, positions = _inverse_bits(unit, y.min_generators)
-    return _colon_bits(unit.members, positions) == y.members << positions[0]
+    return _divisorial(unit, y.members, _inverse_bits(unit, y.min_generators)[1])
 
 
 def is_principal(y: FractionalIdeal) -> bool:
     return len(y.min_generators) == 1
 
 
-def _t_invertible(unit: FractionalIdeal, gens) -> bool:
-    """``is_t_invertible`` for the ideal that the ascending gens generate:
-    AND(z >> i) over the generator positions i of its inverse z, against S."""
-    z, positions = _inverse_bits(unit, gens)
+def _t_invertible(unit: FractionalIdeal, inverse: tuple[int, list[int]]) -> bool:
+    """``is_t_invertible`` from the bits z and generator positions of an
+    ``_inverse_bits`` result: AND(z >> i) over those positions i, against S."""
+    z, positions = inverse
     return _colon_bits(z, positions) >> positions[0] == unit.members
 
 
@@ -198,7 +201,8 @@ def is_t_invertible(y: FractionalIdeal) -> bool:
     >>> is_t_invertible(ideal_from_generators(s, [0]))
     True
     """
-    return _t_invertible(unit_ideal(y.monoid), y.min_generators)
+    unit = unit_ideal(y.monoid)
+    return _t_invertible(unit, _inverse_bits(unit, y.min_generators))
 
 
 def class_reduce(y: FractionalIdeal) -> FractionalIdeal:
@@ -258,6 +262,15 @@ def normalized_classes(monoid: NumericalSemigroup, bound: int):
             for f in key:
                 members |= unit << f
             yield FractionalIdeal(monoid, key, members)
+
+
+def judged_classes(monoid: NumericalSemigroup, bound: int):
+    """Yield (y, divisorial, t-invertible) for each ideal y of
+    ``normalized_classes``, both verdicts from one ``_inverse_bits``."""
+    unit = unit_ideal(monoid)
+    for y in normalized_classes(monoid, bound):
+        inverse = _inverse_bits(unit, y.min_generators)
+        yield y, _divisorial(unit, y.members, inverse[1]), _t_invertible(unit, inverse)
 
 
 def _shift_blocks(keyed, bound: int):
@@ -323,8 +336,8 @@ def search_nonprincipal_t_invertible(monoid: NumericalSemigroup, bound: int,
     keyed, witness = [], None
     for top, keys in _class_keys(monoid, bound):
         _require_window(monoid, 0, top)
-        witness = next((key for key in keys
-                        if len(key) > 1 and _t_invertible(unit, key)), None)
+        witness = next((key for key in keys if len(key) > 1
+                        and _t_invertible(unit, _inverse_bits(unit, key))), None)
         keyed.append((top, keys if witness is None else keys[:keys.index(witness) + 1]))
         if witness is not None:
             break

@@ -419,17 +419,18 @@ def test_ex218_search_is_the_witness_of_the_sweep(monkeypatch):
     chosen = nonprincipal[len(nonprincipal) // 2]
     assert chosen.min > 0  # so the first of its class is another antichain
     real = mid._t_invertible
-
-    def normalized(y):
-        return y.shift(-y.min)
+    unit = mid.unit_ideal(sgp)
+    # the bits of an inverse are read from its minimum, so they are
+    # shift-invariant: every shift of ``chosen`` has these
+    target = mid._inverse_bits(unit, chosen.min_generators)
 
     # a fake judge, shift-invariant like the real one, in the private judge
-    # that the sweep and ``is_t_invertible`` both consult
-    def fake(unit, gens):
-        y = mid.ideal_from_generators(unit.monoid, gens)
-        return normalized(y) == normalized(chosen) or real(unit, gens)
+    # that the sweep, ``demo ex218`` and ``is_t_invertible`` all consult
+    def fake(unit, inverse):
+        return inverse == target or real(unit, inverse)
     monkeypatch.setattr(mid, "_t_invertible", fake)
-    first = next(y for y in nonprincipal if normalized(y) == normalized(chosen))
+    first = next(y for y in nonprincipal
+                 if mid._inverse_bits(unit, y.min_generators) == target)
     witness = mid.search_nonprincipal_t_invertible(sgp, 10)
     assert witness == first
     assert witness != chosen
@@ -619,3 +620,16 @@ def test_ideal_op_judges_each_ideal_divisorial_once(op, monkeypatch):
     code, report = cli.run(["sgp", "ideal", "--sgp", "3,5", "--gens", "0,2", "--op", op])
     assert code == 0 and statuses(report) == ["pass"]
     assert len(judged) == 2
+
+
+def test_ex218_computes_each_class_inverse_once(monkeypatch):
+    """Divisoriality and t-invertibility of a class read one computation of
+    its inverse bits: one ``_inverse_bits`` call per class key, in order."""
+    sgp = from_generators([7, 9, 11])
+    keys = [y.min_generators for y in mid.normalized_classes(sgp, 20)]
+    assert len(keys) > 100
+    computed = _counting(monkeypatch, mid, "_inverse_bits")
+    code, report = cli.run(["demo", "ex218", "--sgp", "7,9,11", "--bound", "20"])
+    assert code == 1  # 7,9,11 is not symmetric: some classes are not divisorial
+    assert report["results"]["search"] is None
+    assert [gens for _, gens in computed] == keys

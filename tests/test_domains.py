@@ -406,16 +406,45 @@ def test_colon_matches_its_definition(domain):
     assert seen == {True, False}
 
 
+def is_reduced(a, b, c):
+    """The reduction predicate: |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
+    if not abs(b) <= a <= c:
+        return False
+    return b >= 0 or (-b != a and a != c)
+
+
+def scanned_reduced_forms(disc):
+    """The reduced forms of discriminant disc as (a, b, c) triples, by scanning
+    every a <= sqrt(|disc|/3) and every b of the parity of disc with |b| <= a,
+    and keeping the integral c = (b^2 - disc)/4a that ``is_reduced`` accepts."""
+    forms = []
+    for a in range(1, isqrt(-disc // 3) + 1):
+        for b in range(-a + (a + disc) % 2, a + 1, 2):
+            c, rest = divmod(b * b - disc, 4 * a)
+            if not rest and is_reduced(a, b, c):
+                forms.append((a, b, c))
+    return forms
+
+
 def test_form_reduction_properties():
     f = dom.QuadForm(15, 47, 37)
     assert f.discriminant == -11
     r = f.reduced()
     assert r == dom.QuadForm(1, 1, 3)
-    assert r.is_reduced() and r.discriminant == -11
+    assert is_reduced(r.a, r.b, r.c) and r.discriminant == -11
     assert r.reduced() == r
     # one form outside each branch: |b| <= a <= c, then b < 0 with |b| = a or a = c
     for bad in ((15, 47, 37), (2, -2, 3), (3, -1, 3)):
-        assert not dom.QuadForm(*bad).is_reduced()
+        assert not is_reduced(*bad)
+
+
+def test_reduced_forms_match_the_pair_scan():
+    # every discriminant in (-4000, 0), the non-fundamental ones included
+    discs = [disc for disc in range(-3999, 0) if disc % 4 in (0, 1)]
+    assert len(discs) == 1999
+    for disc in discs:
+        forms = [(f.a, f.b, f.c) for f in dom.reduced_forms(disc)]
+        assert forms == scanned_reduced_forms(disc), disc
 
 
 def test_reduced_forms_frozen_tables():
@@ -606,14 +635,15 @@ def test_invariant_factors_determine_the_group():
 
 
 def test_class_group_composes_about_h_times(monkeypatch):
+    # counts the kernel that both ``compose`` and the cyclic extension call
     calls = []
-    real = dom.compose
+    real = dom._compose
 
-    def counted(f, g):
+    def counted(f, g, disc):
         calls.append(1)
-        return real(f, g)
+        return real(f, g, disc)
 
-    monkeypatch.setattr(dom, "compose", counted)
+    monkeypatch.setattr(dom, "_compose", counted)
     for disc, h in ((-10007, 77), (-4000004, 1032)):
         calls.clear()
         group = dom.class_group(dom.domain_for_discriminant(disc))

@@ -304,14 +304,16 @@ def test_generator_sets_match_the_reference_enumerator(gens):
 
 def fake_witness(monkeypatch, target):
     """Make the private judge, which the sweep and ``is_t_invertible`` both
-    consult, also accept the class of ``target``, shift-invariantly like the
-    real one."""
+    consult, also accept every ideal whose inverse has the bits of the
+    inverse of ``target``: the class of ``target`` and any other class with
+    the same inverse.  Inverse bits are read from their minimum, so the fake
+    is shift-invariant like the real judge."""
     real = mid._t_invertible
-    target = target.shift(-target.min)
+    unit = mid.unit_ideal(target.monoid)
+    bits = mid._inverse_bits(unit, target.min_generators)
 
-    def judge(unit, gens):
-        y = mid.ideal_from_generators(unit.monoid, gens)
-        return y.shift(-y.min) == target or real(unit, gens)
+    def judge(unit, inverse):
+        return inverse == bits or real(unit, inverse)
     monkeypatch.setattr(mid, "_t_invertible", judge)
 
 
@@ -394,7 +396,7 @@ def test_sweep_without_a_witness_builds_no_ideal(monkeypatch):
     monoid = from_generators([7, 9, 11])
     mid.unit_ideal(monoid)
     counts = {name: _counting(monkeypatch, name) for name in
-              ("minkowski_sum", "ideal_from_generators", "colon", "_t_invertible")}
+              ("minkowski_sum", "ideal_from_generators", "colon", "_inverse_bits")}
 
     def refuse(*args):
         raise AssertionError("an ideal was built")
@@ -403,7 +405,7 @@ def test_sweep_without_a_witness_builds_no_ideal(monkeypatch):
     assert counts["minkowski_sum"] == counts["colon"] == []
     assert counts["ideal_from_generators"] == []
     keys = [g for g in reference_generator_sets(monoid, 9) if g[0] == 0]
-    assert [gens for _, gens in counts["_t_invertible"]] == \
+    assert [gens for _, gens in counts["_inverse_bits"]] == \
         [key for key in keys if len(key) > 1]
 
 
