@@ -507,6 +507,7 @@ def _reduce(a: int, b: int, c: int, disc: int) -> tuple[int, int, int]:
 
 # Largest |D| whose reduced forms are listed: the walk visits about |D|/12 a's.
 MAX_DISCRIMINANT = 1 << 24
+MAX_TABLE_ORDER = 1 << 10   # largest class number h whose h x h table is built
 
 
 def _reduced_triples(disc: int) -> list[tuple[int, int, int]]:
@@ -602,19 +603,53 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
 
 
 class ClassGroup(Record):
-    """A form class group: the reduced forms, their composition table
-    (``table[i][j]`` is the index of forms[i]·forms[j]) and the invariant
-    factors d_1 | d_2 | ..., all > 1, of the group as a sum of Z/d_i."""
+    """A form class group as its cyclic extension leaves it: the reduced forms
+    in (a, b) order; one step (n, k, p) per generator g (positions n*j to
+    n*j + n - 1 hold g^j times the first n, and g^k is at p < n); the position
+    of each form and the form at each position; the invariants d_1 | d_2 | ...
+    ``mul`` multiplies classes, and ``table`` is built from it on each read."""
 
-    __slots__ = ("domain", "forms", "table", "invariants")
+    __slots__ = ("domain", "forms", "extensions", "position", "form_at", "invariants")
+    identity_index = 0      # forms[0] = (1, D mod 2, .), the one with a = 1
 
     @property
     def order(self) -> int:
         return len(self.forms)
 
+    def mul(self, i: int, j: int) -> int:
+        """The index of forms[i]·forms[j], in O(r^2) for r steps: the factors'
+        digits x // n mod k add, and from the top step (n, k, p) down a carry q
+        adds q times the digits of p to the digits below.
+
+        >>> group = class_group(domain_for_discriminant(-231))
+        >>> [group.forms[i].text() for i in (2, 3, group.mul(2, 3))]
+        ['(2,1,29)', '(3,3,20)', '(6,-3,10)']
+        """
+        x, y, steps = self.position[i], self.position[j], self.extensions
+        digits = [x // n % k + y // n % k for n, k, _ in steps]
+        for t, (_, k, p) in reversed(list(enumerate(steps))):
+            q, digits[t] = divmod(digits[t], k)
+            for s, (n_s, k_s, _) in enumerate(steps[:t] if q else ()):
+                digits[s] += q * (p // n_s % k_s)
+        return self.form_at[sum(d * n for d, (n, _, _) in zip(digits, steps))]
+
+    def inverse(self, i: int) -> int:
+        """The index of forms[i]^(e - 1), e the exponent, by square-and-multiply."""
+        result, e = 0, (self.invariants or (1,))[-1] - 1
+        while e:
+            result = self.mul(result, i) if e & 1 else result
+            i, e = self.mul(i, i), e >> 1
+        return result
+
     @property
-    def identity_index(self) -> int:
-        return self.forms.index(identity_form(self.domain.discriminant))
+    def table(self) -> tuple:
+        """``table[i][j]`` = ``mul(i, j)``, built on each read; past
+        ``MAX_TABLE_ORDER`` it raises CapabilityError before any row is built."""
+        h = self.order
+        if h > MAX_TABLE_ORDER:
+            raise CapabilityError(f"a class group of order {h} is too large for "
+                                  f"a table (h > {MAX_TABLE_ORDER})")
+        return tuple(tuple([self.mul(i, j) for j in range(h)]) for i in range(h))
 
     def structure(self) -> str:
         return _label(self.invariants)
@@ -632,11 +667,12 @@ def _label(invariants: tuple[int, ...]) -> str:
 
 def _smith(matrix: list[list[int]]) -> list[int]:
     """The diagonal d_1 | d_2 | ... (all > 0) of the Smith normal form of a
-    nonsingular square integer matrix (Cohen, GTM 138, Alg. 2.4.14)."""
+    nonsingular square integer matrix (Cohen, GTM 138, Alg. 2.4.14): row and
+    column operations diagonalize it, and gcd and lcm make the diagonal a chain."""
     n = len(matrix)
     a = [row[:] for row in matrix]
     for t in range(n):
-        while True:
+        while any(a[i][t] for i in range(t + 1, n)) or any(a[t][t + 1:]):
             # a least nonzero entry of the lower right block becomes the pivot
             _, i, j = min((abs(a[i][j]), i, j) for i in range(t, n)
                           for j in range(t, n) if a[i][j])
@@ -651,13 +687,12 @@ def _smith(matrix: list[list[int]]) -> list[int]:
                 q = a[t][j] // p
                 for row in a:
                     row[j] -= q * row[t]
-            if any(a[i][t] for i in range(t + 1, n)) or any(a[t][t + 1:]):
-                continue                       # a remainder: a smaller pivot
-            bad = [i for i in range(t + 1, n) if any(x % p for x in a[i][t + 1:])]
-            if not bad:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad[0]])]
-    return [abs(a[t][t]) for t in range(n)]
+    d = [abs(a[t][t]) for t in range(n)]
+    for s in range(n):                         # Z/x + Z/y = Z/gcd + Z/lcm
+        for t in range(s + 1, n):
+            g = gcd(d[s], d[t])
+            d[s], d[t] = g, d[s] * d[t] // g
+    return d
 
 
 def _extension(domain: CoefficientDomain):
@@ -670,8 +705,7 @@ def _extension(domain: CoefficientDomain):
     factors.
 
     The walk composes (a, b, c) triples; records are built for the h forms
-    returned, with the position of each form in the extension order, one
-    (n, k, position of g^k) per generator g, and the invariants.
+    returned, with the other fields of ``ClassGroup`` after its domain.
     """
     if domain.kind != "quadratic":
         raise CapabilityError("class groups are computed for quadratic orders only")
@@ -697,52 +731,29 @@ def _extension(domain: CoefficientDomain):
             power = _compose(power, g, disc)
         extensions.append((n, len(elems) // n, position[power]))
     # relation t: k_t e_t - (coordinates of g_t^k_t, in mixed radix k_1, ...)
-    relations = []
-    for t, (_, k, p) in enumerate(extensions):
-        row = [-(p // n_s % k_s) for n_s, k_s, _ in extensions[:t]]
-        relations.append(row + [k] + [0] * (len(extensions) - t - 1))
+    r = len(extensions)
+    relations = [[-(p // n_s % k_s) for n_s, k_s, _ in extensions[:t]]
+                 + [k] + [0] * (r - t - 1) for t, (_, k, p) in enumerate(extensions)]
     invariants = tuple(d for d in _smith(relations) if d > 1)
-    position = {QuadForm(*t): position[t] for t in triples}   # in triples order
-    return tuple(position), position, extensions, invariants
+    positions = tuple([position[t] for t in triples])
+    return (tuple([QuadForm(*t) for t in triples]), tuple(extensions), positions,
+            tuple(sorted(range(len(triples)), key=positions.__getitem__)), invariants)
 
 
 def class_group(domain: CoefficientDomain) -> ClassGroup:
-    """The form class group of a maximal imaginary quadratic order.
-
-    The table is filled from the cyclic extension without composing: the
-    element at position x in [n, n·k) is the one at x - n times g, so its
-    row is that row followed by the "times g" permutation.  That permutation
-    moves each coset g^j·H to g^(j+1)·H, and the last coset wraps through
-    g^k, whose row is already built.
+    """The form class group of a maximal imaginary quadratic order; no table is built.
 
     >>> class_group(domain_for_discriminant(-231)).invariants
     (2, 6)
     """
-    forms, position, extensions, invariants = _extension(domain)
-    h = len(forms)
-    at = [0] * h                      # at[x]: the forms index at position x
-    for i, f in enumerate(forms):
-        at[position[f]] = i
-    rows = [tuple(range(h))]          # rows[x]: the row of the form at x
-    for n, k, p in extensions:
-        # times[i]: the index of forms[i]·g.  A position x in the last coset
-        # holds y·g^(k-1) for y at x - (k-1)·n, and y·g^k is the entry of
-        # the row of g^k at y
-        times = [0] * h
-        for x in range(h):
-            times[at[x]] = at[x + n] if x // n % k < k - 1 else \
-                rows[p][at[x - (k - 1) * n]]
-        for x in range(n, n * k):
-            rows.append(tuple([times[i] for i in rows[x - n]]))
-    table = tuple(rows[position[f]] for f in forms)
-    return ClassGroup(domain, forms, table, invariants)
+    return ClassGroup(domain, *_extension(domain))
 
 
 def describe_class_group(domain: CoefficientDomain) -> str:
     """The name of the class group, from its invariants without a table."""
     if domain.kind in ("Q", "Z"):
         return "trivial"
-    return _label(_extension(domain)[3])
+    return _label(_extension(domain)[-1])
 
 
 def parse_domain(text: str) -> CoefficientDomain:

@@ -538,8 +538,7 @@ def suite_domains(seed: int = 0, trials: int = 120) -> dict:
         structures[disc] = group.structure()
         e = group.identity_index
         for a in range(group.order):
-            inv_found = any(group.table[a][b] == e for b in range(group.order))
-            if not inv_found or group.table[a][e] != a:
+            if group.mul(a, e) != a or group.mul(a, group.inverse(a)) != e:
                 bad += 1
     check(checks, "form/ideal round trip and group table laws", bad == 0,
           f"discriminants {list(_DISC_POOL)}")

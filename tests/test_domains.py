@@ -560,6 +560,89 @@ def test_class_group_table_is_a_group():
     assert set(element_orders(table, group.identity_index)) == {1, 2}
 
 
+def test_the_identity_is_the_first_form():
+    # (1, D mod 2, .) is the only reduced form with a = 1, and forms sort by (a, b)
+    for disc in fundamental_discriminants(-3999, -3):
+        group = dom.class_group(dom.domain_for_discriminant(disc))
+        assert group.forms[0] == dom.identity_form(disc), disc
+        assert [f.a for f in group.forms].count(1) == 1, disc
+        assert group.identity_index == 0
+
+
+# fundamental D near 2^24 with h in the thousands and five extension steps
+LARGE_DISCS = (-16777167, -16777032, -16777192)
+
+
+def opposite(form):
+    """The reduced form of the inverse class of a reduced form."""
+    return dom.QuadForm(form.a, -form.b, form.c).reduced()
+
+
+def test_mul_matches_composition_near_the_discriminant_cap():
+    rng = random.Random(2024)
+    for disc in LARGE_DISCS:
+        group = dom.class_group(dom.domain_for_discriminant(disc))
+        assert group.order > 1000 and len(group.extensions) == 5, disc
+        forms = group.forms
+        for _ in range(150):
+            i, j = rng.randrange(group.order), rng.randrange(group.order)
+            assert forms[group.mul(i, j)] == dom.compose(forms[i], forms[j]), disc
+
+
+# D with steps (n, k, p) whose g^k at p has nonzero digits on two or three
+# lower steps, so one carry moves several digits; a carry that reads those
+# digits without their mod k changed no product found for D in (-4000, 0)
+CARRY_DISCS = (-99147, -99651)
+
+
+def test_mul_carries_into_several_lower_digits():
+    for disc in CARRY_DISCS:
+        group = dom.class_group(dom.domain_for_discriminant(disc))
+        forms = group.forms
+        for i, f in enumerate(forms):
+            for j, g in enumerate(forms):
+                assert forms[group.mul(i, j)] == dom.compose(f, g), disc
+
+
+def test_mul_and_inverse_are_the_group_laws():
+    rng = random.Random(31)
+    for disc in LARGE_DISCS[:1] + CARRY_DISCS + (-3995, -831, -231, -84, -23, -4):
+        group = dom.class_group(dom.domain_for_discriminant(disc))
+        e, h, mul = group.identity_index, group.order, group.mul
+        for _ in range(150):
+            x, y, z = rng.randrange(h), rng.randrange(h), rng.randrange(h)
+            assert mul(mul(x, y), z) == mul(x, mul(y, z)), disc
+            assert mul(x, y) == mul(y, x) and mul(x, e) == x == mul(e, x), disc
+            assert mul(x, group.inverse(x)) == e, disc
+            assert group.forms[group.inverse(x)] == opposite(group.forms[x]), disc
+
+
+def test_the_table_is_refused_past_its_cap(monkeypatch):
+    disc = -4000004
+    group = dom.class_group(dom.domain_for_discriminant(disc))
+    assert group.order == 1032 > dom.MAX_TABLE_ORDER
+    assert group.forms[0] == dom.identity_form(disc) and group.invariants == (2, 516)
+    f, g = group.forms[5], group.forms[700]
+    assert group.forms[group.mul(5, 700)] == dom.compose(f, g)
+    assert group.forms[group.inverse(5)] == opposite(f)
+
+    def refuse(self, i, j):
+        raise AssertionError("a table row was built")
+
+    monkeypatch.setattr(dom.ClassGroup, "mul", refuse)
+    with pytest.raises(CapabilityError, match="too large for a table"):
+        group.table
+
+
+def test_structure_never_multiplies(monkeypatch):
+    def refuse(self, i, j):
+        raise AssertionError("structure() multiplied")
+
+    monkeypatch.setattr(dom.ClassGroup, "mul", refuse)
+    for disc, structure in DISC_STRUCTURES.items():
+        assert dom.class_group(dom.domain_for_discriminant(disc)).structure() == structure
+
+
 def pairwise_class_group(disc):
     """The forms, table and structure label of the class group with every
     pair of reduced forms composed: h^2 compositions, the reference that
