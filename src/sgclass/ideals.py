@@ -9,8 +9,9 @@ Operations are arithmetic on member bit sets (sum: OR of one summand's members
 shifted by the other's generators, colon: AND of shifted members) and one
 canonicalizer reads the minimal generators of a bit set B as B & ~OR(B << g)
 over the monoid's generators g.  Divisoriality and t-invertibility are judged
-on raw bits with no intermediate ideal: the bits z of (S : Y), the AND of S's
-members shifted by Y's generators, and z's generator positions fix both.
+on raw bits with no intermediate ideal, from the bits z of (S : Y), the AND of
+S's members shifted by Y's generators: divisoriality with z's generator
+positions, t-invertibility with S's pseudo-Frobenius numbers alone.
 Definitions as in Rosales & Garcia-Sanchez, *Numerical Semigroups* (2009).
 ``bench/worker.py`` reads ``semigroups._member_bits.cache_info()`` and
 ``unit_ideal.cache_info()`` on every run and expects ``import sgclass`` to load
@@ -176,11 +177,33 @@ def is_principal(y: FractionalIdeal) -> bool:
     return len(y.min_generators) == 1
 
 
-def _t_invertible(unit: FractionalIdeal, inverse: tuple[int, list[int]]) -> bool:
-    """``is_t_invertible`` from the bits z and generator positions of an
-    ``_inverse_bits`` result: AND(z >> i) over those positions i, against S."""
-    z, positions = inverse
-    return _colon_bits(z, positions) >> positions[0] == unit.members
+def _pseudo_frobenius(unit: FractionalIdeal) -> list[int]:
+    """PF(S), ascending: the gaps f with f + s in S for every nonzero s in S,
+    the set bits of ~S & AND(S >> g) over S's generators g, since f + g in S
+    for each generator g gives f + s in S for every sum s of them."""
+    acc = ~unit.members
+    for g in unit.monoid.generators:
+        acc &= unit.members >> g
+    return _bit_positions(acc)
+
+
+def _t_invertible(z: int, pf: list[int]) -> bool:
+    """(z : z) = S for the member bits z of an ideal, read from any
+    minimum: False as soon as some f in ``pf`` = PF(S) has f + z inside z,
+    that is (z << f) & ~z == 0.
+
+    (z : z) contains S and nothing negative, since z is bounded below, so
+    its elements outside S are gaps and finitely many.  If (z : z) is larger
+    than S, let g be its largest element outside S.  For every nonzero s in
+    S, g + s lies in (z : z) and is larger than g, so it lies in S: g is in
+    PF(S), and g + z lies inside z.  Conversely an f in PF(S) with f + z
+    inside z lies in (z : z) and not in S.  A shift of z moves every f + z
+    with it, so the verdict does not depend on where the bits of z start."""
+    outside = ~z
+    for f in pf:
+        if not (z << f) & outside:
+            return False
+    return True
 
 
 def is_t_invertible(y: FractionalIdeal) -> bool:
@@ -189,10 +212,9 @@ def is_t_invertible(y: FractionalIdeal) -> bool:
     Every ideal I has (I_v)^-1 = I^-1, so I_v = S gives I^-1 = S^-1 = S,
     and I^-1 = S gives I_v = (I^-1)^-1 = S: the definition reads
     (S : y + z) = S.  And (S : y + z) = ((S : y) : z) = (z : z), because
-    g + y + z lies in S exactly when g + z lies in (S : y) = z.  (z : z)
-    contains 0 and nothing below it, so its colon bits from 0 are its
-    members and compare directly with those of S.  The judge works on the
-    bits of z and of S alone and builds no ideal (``_t_invertible``).
+    g + y + z lies in S exactly when g + z lies in (S : y) = z.  The judge
+    (``_t_invertible``) tests (z : z) = S on the bits of z, read from
+    -min y, against S's pseudo-Frobenius numbers, and builds no ideal.
 
     >>> from sgclass.semigroups import from_generators
     >>> s = from_generators([2, 3])
@@ -202,7 +224,8 @@ def is_t_invertible(y: FractionalIdeal) -> bool:
     True
     """
     unit = unit_ideal(y.monoid)
-    return _t_invertible(unit, _inverse_bits(unit, y.min_generators))
+    return _t_invertible(_colon_bits(unit.members, y.min_generators),
+                         _pseudo_frobenius(unit))
 
 
 def class_reduce(y: FractionalIdeal) -> FractionalIdeal:
@@ -232,20 +255,22 @@ def _class_keys(monoid: NumericalSemigroup, bound: int):
     window = (1 << c) - 1
     gaps = window ^ monoid.member_bits(c)
 
-    def extend(prefix: tuple[int, ...], top: int, candidates: int):
+    def extend(prefix: tuple[int, ...], top: int, candidates: int, out: list) -> None:
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             e = low.bit_length() - 1
-            yield from extend(prefix + (e,), top, candidates & (gaps << e))
-        yield prefix + (top,)
+            extend(prefix + (e,), top, candidates & (gaps << e), out)
+        out.append(prefix + (top,))
 
     yield 0, [(0,)]
     below = 0  # bit e set iff top - e is a gap, kept to e < c: gaps lie below c
     for top in range(1, min(bound, c - 1) + 1):
         below = ((below << 1) | ((gaps >> top) & 1)) & window
         if below & 1:
-            yield top, list(extend((0,), top, below & gaps))
+            keys = []
+            extend((0,), top, below & gaps, keys)
+            yield top, keys
 
 
 def normalized_classes(monoid: NumericalSemigroup, bound: int):
@@ -266,11 +291,13 @@ def normalized_classes(monoid: NumericalSemigroup, bound: int):
 
 def judged_classes(monoid: NumericalSemigroup, bound: int):
     """Yield (y, divisorial, t-invertible) for each ideal y of
-    ``normalized_classes``, both verdicts from one ``_inverse_bits``."""
+    ``normalized_classes``, both verdicts from one ``_inverse_bits``: the
+    generator positions of its z for ``_divisorial``, z for ``_t_invertible``."""
     unit = unit_ideal(monoid)
+    pf = _pseudo_frobenius(unit)
     for y in normalized_classes(monoid, bound):
-        inverse = _inverse_bits(unit, y.min_generators)
-        yield y, _divisorial(unit, y.members, inverse[1]), _t_invertible(unit, inverse)
+        z, positions = _inverse_bits(unit, y.min_generators)
+        yield y, _divisorial(unit, y.members, positions), _t_invertible(z, pf)
 
 
 def _shift_blocks(keyed, bound: int):
@@ -319,7 +346,8 @@ def search_nonprincipal_t_invertible(monoid: NumericalSemigroup, bound: int,
     kernel that judges it: the sweep checks the judge of ``is_t_invertible``
     against that theorem.
     Each class is judged once, at its key (``_class_keys``), on the bits of
-    its inverse (``_t_invertible``), and its shifts are counted, not built:
+    its inverse against S's pseudo-Frobenius numbers (``_t_invertible``); it
+    reads no generator of the inverse, and its shifts are counted, not built:
     t-invertibility is shift-invariant, a theorem and not a shortcut, since
     inverse(y + n) = inverse(y) - n makes (y + n) + inverse(y + n) equal
     y + inverse(y), and so its v-closure.  A key comes before its shifts in
@@ -333,11 +361,12 @@ def search_nonprincipal_t_invertible(monoid: NumericalSemigroup, bound: int,
     if bound < 0:
         raise ValueError("bound must be non-negative")
     unit = unit_ideal(monoid)
+    members, pf = unit.members, _pseudo_frobenius(unit)
     keyed, witness = [], None
     for top, keys in _class_keys(monoid, bound):
         _require_window(monoid, 0, top)
         witness = next((key for key in keys if len(key) > 1
-                        and _t_invertible(unit, _inverse_bits(unit, key))), None)
+                        and _t_invertible(_colon_bits(members, key), pf)), None)
         keyed.append((top, keys if witness is None else keys[:keys.index(witness) + 1]))
         if witness is not None:
             break

@@ -420,17 +420,17 @@ def test_ex218_search_is_the_witness_of_the_sweep(monkeypatch):
     assert chosen.min > 0  # so the first of its class is another antichain
     real = mid._t_invertible
     unit = mid.unit_ideal(sgp)
-    # the bits of an inverse are read from its minimum, so they are
-    # shift-invariant: every shift of ``chosen`` has these
-    target = mid._inverse_bits(unit, chosen.min_generators)
+    # the bits of an inverse are read from minus the ideal's minimum, so
+    # they are shift-invariant: every shift of ``chosen`` has these
+    target = mid._colon_bits(unit.members, chosen.min_generators)
 
     # a fake judge, shift-invariant like the real one, in the private judge
     # that the sweep, ``demo ex218`` and ``is_t_invertible`` all consult
-    def fake(unit, inverse):
-        return inverse == target or real(unit, inverse)
+    def fake(z, pf):
+        return z == target or real(z, pf)
     monkeypatch.setattr(mid, "_t_invertible", fake)
     first = next(y for y in nonprincipal
-                 if mid._inverse_bits(unit, y.min_generators) == target)
+                 if mid._colon_bits(unit.members, y.min_generators) == target)
     witness = mid.search_nonprincipal_t_invertible(sgp, 10)
     assert witness == first
     assert witness != chosen

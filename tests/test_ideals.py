@@ -1,5 +1,8 @@
 """Fractional ideal arithmetic checked against definitional set models."""
 
+from itertools import combinations
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -306,14 +309,14 @@ def fake_witness(monkeypatch, target):
     """Make the private judge, which the sweep and ``is_t_invertible`` both
     consult, also accept every ideal whose inverse has the bits of the
     inverse of ``target``: the class of ``target`` and any other class with
-    the same inverse.  Inverse bits are read from their minimum, so the fake
-    is shift-invariant like the real judge."""
+    the same inverse.  Inverse bits are read from minus the ideal's minimum,
+    so the fake is shift-invariant like the real judge."""
     real = mid._t_invertible
     unit = mid.unit_ideal(target.monoid)
-    bits = mid._inverse_bits(unit, target.min_generators)
+    bits = mid._colon_bits(unit.members, target.min_generators)
 
-    def judge(unit, inverse):
-        return inverse == bits or real(unit, inverse)
+    def judge(z, pf):
+        return z == bits or real(z, pf)
     monkeypatch.setattr(mid, "_t_invertible", judge)
 
 
@@ -392,11 +395,13 @@ def _counting(monkeypatch, name):
 
 def test_sweep_without_a_witness_builds_no_ideal(monkeypatch):
     """Each key is judged once, on bits: no ``colon``, no ``minkowski_sum``,
-    no ``ideal_from_generators`` and no ``FractionalIdeal`` at all."""
+    no ``ideal_from_generators`` and no ``FractionalIdeal`` at all, and no
+    generator of an inverse is read."""
     monoid = from_generators([7, 9, 11])
-    mid.unit_ideal(monoid)
+    unit = mid.unit_ideal(monoid)
     counts = {name: _counting(monkeypatch, name) for name in
-              ("minkowski_sum", "ideal_from_generators", "colon", "_inverse_bits")}
+              ("minkowski_sum", "ideal_from_generators", "colon", "_t_invertible",
+               "_inverse_bits", "_generator_positions")}
 
     def refuse(*args):
         raise AssertionError("an ideal was built")
@@ -404,9 +409,10 @@ def test_sweep_without_a_witness_builds_no_ideal(monkeypatch):
     assert mid.search_nonprincipal_t_invertible(monoid, 9) is None
     assert counts["minkowski_sum"] == counts["colon"] == []
     assert counts["ideal_from_generators"] == []
+    assert counts["_inverse_bits"] == counts["_generator_positions"] == []
     keys = [g for g in reference_generator_sets(monoid, 9) if g[0] == 0]
-    assert [gens for _, gens in counts["_inverse_bits"]] == \
-        [key for key in keys if len(key) > 1]
+    assert [z for z, _ in counts["_t_invertible"]] == \
+        [mid._colon_bits(unit.members, key) for key in keys if len(key) > 1]
 
 
 @pytest.mark.parametrize("gens", SWEEP_POOL)
@@ -505,6 +511,66 @@ def test_bit_judges_match_the_set_oracle_and_the_definitions(gens):
             divisorial += by_sets
     symmetric = 2 * len(monoid.gaps) == monoid.conductor
     assert (divisorial == 3 * len(classes)) == symmetric
+
+
+SMALL_SEMIGROUPS = tuple(gens for k in range(1, 9)
+                         for gens in combinations(range(2, 10), k) if gcd(*gens) == 1)
+
+
+def brute_pseudo_frobenius(monoid):
+    """The gaps f with f + s in S for every nonzero s in S below conductor
+    plus the largest generator; past that, f + s lies beyond the conductor."""
+    top = monoid.conductor + max(monoid.generators)
+    nonzero = [s for s in range(1, top) if monoid.contains(s)]
+    return [f for f in monoid.gaps if all(monoid.contains(f + s) for s in nonzero)]
+
+
+def test_pseudo_frobenius_numbers_match_a_scan():
+    """On every semigroup generated by a subset of [2, 9]; S is symmetric
+    exactly when its only pseudo-Frobenius number is F."""
+    symmetric = 0
+    for gens in SMALL_SEMIGROUPS:
+        monoid = from_generators(gens)
+        pf = mid._pseudo_frobenius(mid.unit_ideal(monoid))
+        assert pf == brute_pseudo_frobenius(monoid), gens
+        is_symmetric = 2 * len(monoid.gaps) == monoid.conductor
+        assert (pf == [monoid.frobenius]) == is_symmetric, gens
+        symmetric += is_symmetric
+    assert 0 < symmetric < len(SMALL_SEMIGROUPS)
+
+
+def test_pseudo_frobenius_numbers_of_known_semigroups():
+    assert mid._pseudo_frobenius(mid.unit_ideal(from_generators([3, 4, 5]))) == [1, 2]
+    assert mid._pseudo_frobenius(mid.unit_ideal(from_generators([1]))) == []
+    for a, b in combinations(range(2, 13), 2):
+        if gcd(a, b) == 1:
+            pf = mid._pseudo_frobenius(mid.unit_ideal(from_generators([a, b])))
+            assert pf == [a * b - a - b], (a, b)
+
+
+def colon_by_itself_is_s(y):
+    """(y : y) = S from memberships over the window: g lies in (y : y) when
+    g + x lies in y for each member x of y below its stable bound, since
+    past it g + x is a member for g >= 0; -1 stands for every negative g."""
+    monoid = y.monoid
+    members = [x for x in range(y.min, y.stable_bound) if y.contains(x)]
+    return all(all(y.contains(g + x) for x in members) == monoid.contains(g)
+               for g in range(-1, monoid.conductor))
+
+
+@pytest.mark.parametrize("gens", THEOREM_POOL + ((6, 7, 9, 10), (7, 8, 9, 10)))
+def test_judge_is_the_colon_of_an_ideal_by_itself(gens):
+    """The judge reads any member bits z, not only an inverse's: on every
+    normalized class y it decides (y : y) = S.  The last two semigroups have
+    type 3, so the judge tries three pseudo-Frobenius numbers there."""
+    monoid = from_generators(gens)
+    pf = mid._pseudo_frobenius(mid.unit_ideal(monoid))
+    verdicts = set()
+    for y in mid.normalized_classes(monoid, monoid.frobenius):
+        verdict = mid._t_invertible(y.members, pf)
+        assert verdict == colon_by_itself_is_s(y), y.min_generators
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 def test_canonical_generator_sets_build_no_ideal(monkeypatch):
